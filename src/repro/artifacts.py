@@ -21,11 +21,15 @@ On-disk layout::
     <root>/objects/<kind>/<hh>/<hash>.<ext>        # payload
     <root>/objects/<kind>/<hh>/<hash>.meta.json    # fingerprint + size
 
-where ``kind`` is one of ``traces`` (JSON-lines via :mod:`repro.tracer.io`),
-``dcfgs`` or ``report`` (pickle, fixed protocol so identical inputs yield
-byte-identical artifacts), or ``telemetry`` (the ``telemetry.json``
-document of a profiled run, see :mod:`repro.obs`), and ``hh`` is the
-first two hash characters.
+where ``kind`` is one of ``traces`` (binary columnar ``.trace`` files
+written by :mod:`repro.tracer.io`), ``dcfgs`` or ``report`` (pickle,
+fixed protocol so identical inputs yield byte-identical artifacts), or
+``telemetry`` (the ``telemetry.json`` document of a profiled run, see
+:mod:`repro.obs`), and ``hh`` is the first two hash characters.  The
+trace format version is part of every trace and report fingerprint, so
+entries of an older trace format (the JSON-lines ``.jsonl`` files of
+format 2) are never addressed again; they stay listed by ``cache
+info`` until ``cache clear`` removes them.
 
 Store handles of a *newer* schema open older cache directories without
 complaint: unknown kinds and unaddressable keys are simply reported
@@ -87,11 +91,16 @@ KIND_TELEMETRY = "telemetry"
 KINDS = (KIND_TRACES, KIND_DCFGS, KIND_REPORT, KIND_TELEMETRY)
 
 _EXT = {
-    KIND_TRACES: "jsonl",
+    KIND_TRACES: "trace",
     KIND_DCFGS: "pkl",
     KIND_REPORT: "pkl",
     KIND_TELEMETRY: "json",
 }
+
+#: Payload extensions written by earlier releases.  A key whose payload
+#: only exists under one of these still resolves to it, so old entries
+#: stay verifiable, indexable and removable instead of reading as torn.
+_LEGACY_EXT = {KIND_TRACES: ("jsonl",)}
 
 #: Backoff schedule for transient ``OSError`` on raw file operations.
 _IO_RETRY = faults.RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.5)
@@ -237,6 +246,12 @@ class ArtifactStore:
             raise ValueError(f"unknown artifact kind {kind!r}")
         directory = os.path.join(self.root, "objects", kind, key[:2])
         payload = os.path.join(directory, f"{key}.{_EXT[kind]}")
+        if not os.path.exists(payload):
+            for ext in _LEGACY_EXT.get(kind, ()):
+                legacy = os.path.join(directory, f"{key}.{ext}")
+                if os.path.exists(legacy):
+                    payload = legacy
+                    break
         meta = os.path.join(directory, f"{key}.meta.json")
         return directory, payload, meta
 
@@ -417,6 +432,15 @@ class ArtifactStore:
             "fingerprint": fields,
         }
         meta_bytes = (json.dumps(meta_record, sort_keys=True) + "\n").encode()
+        if self._index is None:
+            # Attach before writing: a first attach backfills from the
+            # existing entries, and must not re-read this payload.
+            try:
+                self.index  # lazy-attach the result index listener
+            except Exception:
+                # A broken index must never fail an artifact write; the
+                # next index operation reports the typed failure.
+                pass
 
         def write() -> None:
             faults.check("io.transient", "put")
@@ -432,13 +456,6 @@ class ArtifactStore:
         )
         self.stats.puts += 1
         self.stats.bytes_written += len(data)
-        if self._index is None:
-            try:
-                self.index  # lazy-attach the result index listener
-            except Exception:
-                # A broken index must never fail an artifact write; the
-                # next index operation reports the typed failure.
-                pass
         self._notify("put", kind=kind, key=key, fields=dict(fields),
                      data=data)
         return payload
@@ -458,10 +475,8 @@ class ArtifactStore:
         if data is None:
             return None
         try:
-            return trace_io.load_traces(
-                _stdio.StringIO(data.decode("utf-8")), program=program
-            )
-        except (TraceCorruptError, UnicodeDecodeError):
+            return trace_io.load_traces(_stdio.BytesIO(data), program=program)
+        except TraceCorruptError:
             self.stats.corrupt += 1
             self.stats.misses += 1
             self.stats.hits -= 1
@@ -632,9 +647,9 @@ class ArtifactStore:
 
 def serialize_traces(traces: TraceSet) -> bytes:
     """The exact bytes :meth:`ArtifactStore.put_traces` persists."""
-    buffer = _stdio.StringIO()
+    buffer = _stdio.BytesIO()
     trace_io.save_traces(traces, buffer)
-    return buffer.getvalue().encode("utf-8")
+    return buffer.getvalue()
 
 
 __all__ = [

@@ -385,6 +385,11 @@ class AnalysisSession:
             self.executions += 1
             self._record_trace_counters(traces, machine)
             if self.store is not None:
+                # Persisting packs every thread; from here on keep only
+                # the columns, as a store load would hand them over
+                # (tuples are re-materialized only if a consumer asks).
+                for trace in traces.threads:
+                    trace.attach_packed(trace.packed())
                 self.store.put_traces(fields, traces)
             self._traces[key] = traces
         return traces
@@ -499,9 +504,8 @@ class AnalysisSession:
             fields = self.trace_fields(name, n_threads, seed, opt_level)
             program = self._program(name, n_threads, seed, opt_level)
             try:
-                traces = trace_io.load_traces(
-                    _stdio.StringIO(data.decode("utf-8")), program=program
-                )
+                traces = trace_io.load_traces(_stdio.BytesIO(data),
+                                              program=program)
             except trace_io.TraceCorruptError:
                 # The worker's result stream was corrupted in transit;
                 # regenerate serially (bit-identical by construction).

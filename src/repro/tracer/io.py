@@ -1,17 +1,33 @@
-"""Trace-file (de)serialization.
+"""Trace-file (de)serialization: one binary columnar codec.
 
-The paper's tracer writes trace files consumed later by the analyzer; we
-mirror that with a compact JSON-lines format: one header line, then one
-line per logical thread.  Memory records are flattened to keep files small.
+The paper's tracer writes trace files consumed later by the analyzer.
+This module is the only codec for them: the artifact store persists
+traces through it, the worker pool ships freshly traced workloads back
+to the parent in it, and ``threadfuser analyze --save-traces`` writes
+it.  A file holds the packed columns of every thread in exactly the
+layout :meth:`PackedTrace.to_shm <repro.tracer.packed.PackedTrace.to_shm>`
+uses for shared-memory arenas, so loading attaches zero-copy views
+instead of decoding anything::
 
-Format v2 hardens the stream against silent corruption: the header
-carries a sha256 checksum over the header-sans-checksum plus the body,
-and :func:`load_traces` verifies it (and the thread count) before any
-record reaches the analyzer.  A truncated, bit-flipped, or otherwise
-garbled file raises a precise :class:`~repro.errors.TraceCorruptError`
-instead of decoding garbage.  v1 files (no checksum) still load, with
-the structural checks only -- schema-tolerant recovery for caches
-written by older releases.
+    0        8-byte magic: b"TFTRACE" + one format-version byte
+    8        header length H (uint64, little-endian)
+    16       H bytes of JSON header
+    align 8  column region: per thread, the SHM_COLUMNS (derived
+             columns included), 8-byte aligned
+    end-32   sha256 over every preceding byte
+
+The header names the workload, ``untraced_skipped``, and per thread
+its ``index``/``cpu_tid``/``root``/``skipped``, content ``signature``,
+interned callee ``names`` and column ``spans`` (offsets relative to the
+column region).
+
+Integrity: :func:`load_traces` verifies the trailing sha256 before any
+column is attached, so an empty, truncated or bit-flipped file -- or one
+written by another format version -- raises a precise
+:class:`~repro.errors.TraceCorruptError` instead of decoding garbage.
+Attached traces start unverified: the first consumer re-hashes the
+pristine columns against the per-thread signature, as for every packed
+trace.
 """
 
 from __future__ import annotations
@@ -23,198 +39,161 @@ from typing import IO, Union
 from .. import faults
 from ..errors import TraceCorruptError
 from .events import TraceSet
-from .packed import PackedTrace
+from .packed import SHM_COLUMNS, PackedTrace, _align
 
-FORMAT_VERSION = 2
+#: v3: binary columnar files (v1/v2 were JSON lines, no longer read).
+FORMAT_VERSION = 3
 
-#: Versions :func:`load_traces` accepts; pre-checksum v1 files load with
-#: structural validation only.
-SUPPORTED_VERSIONS = (1, 2)
+_MAGIC = b"TFTRACE"
+_PREFIX = 16  # magic + version byte + header length
+_DIGEST = 32
 
 _CORRUPT_HINT = ("the trace file is truncated or corrupted; delete it "
                  "and re-trace (cached traces are regenerated "
                  "automatically)")
 
 
-def _encode_token(token: tuple) -> list:
-    if token[0] == "B":
-        kind, addr, nins, mems = token
-        flat = [rec for mem in mems for rec in
-                (mem[0], 1 if mem[1] else 0, mem[2], mem[3])]
-        return [kind, addr, nins, flat]
-    return list(token)
-
-
-def _decode_token(raw: list) -> tuple:
-    if raw[0] == "B":
-        kind, addr, nins, flat = raw
-        mems = tuple(
-            (flat[i], bool(flat[i + 1]), flat[i + 2], flat[i + 3])
-            for i in range(0, len(flat), 4)
-        )
-        return (kind, addr, nins, mems)
-    return tuple(raw)
+def _corrupt(message: str, hint: str = _CORRUPT_HINT) -> TraceCorruptError:
+    return TraceCorruptError(message, site="trace.load", hint=hint)
 
 
 def save_traces(traces: TraceSet, fp: Union[str, IO]) -> None:
-    """Write ``traces`` to a path or file object as JSON lines."""
-    body_parts = []
+    """Write ``traces`` to a path or binary file object.
+
+    Each thread is packed once through :meth:`ThreadTrace.packed`, so
+    the cached pack is what later replay reuses, and verified before it
+    is written, so a corrupted pack never reaches a file.  Columns are
+    streamed one thread at a time (hashed as they go), so saving holds
+    no second copy of the whole file in memory.
+    """
+    packs = []
+    records = []
+    size = 0
     for trace in traces.threads:
-        # Traces that are still in columnar form (loaded from disk, or
-        # already packed for replay) are encoded straight from their
-        # buffers -- the wire records are identical either way, so the
-        # output bytes (and therefore artifact checksums) never depend
-        # on which representation the trace happens to be in.
-        packed = trace.packed_only()
-        if packed is not None:
-            tokens = packed.to_records()
-        else:
-            tokens = [_encode_token(t) for t in trace.tokens]
-        record = {
+        packed = trace.packed()
+        packed.ensure_verified()
+        spans, end = packed.shm_spans(size)
+        packs.append((packed, end - size))
+        records.append({
             "index": trace.index,
             "cpu_tid": trace.cpu_tid,
             "root": trace.root,
             "skipped": trace.skipped,
-            "tokens": tokens,
-        }
-        body_parts.append(json.dumps(record) + "\n")
-    body = "".join(body_parts)
-    header = {
-        "version": FORMAT_VERSION,
+            "signature": packed.signature,
+            "names": list(packed.names),
+            "spans": spans,
+        })
+        size = end
+    header = json.dumps({
         "workload": traces.workload,
         "untraced_skipped": traces.untraced_skipped,
-        "n_threads": len(traces.threads),
-    }
-    # The checksum covers the header (sans the checksum itself) plus the
-    # body, so a flipped byte anywhere -- including in the header fields
-    # -- fails verification.  It must stay the *last* key written.
-    digest = hashlib.sha256(
-        (json.dumps(header) + "\n" + body).encode("utf-8")
-    ).hexdigest()
-    header["sha256"] = digest
+        "threads": records,
+    }, separators=(",", ":")).encode("utf-8")
+    prefix = bytearray(_align(_PREFIX + len(header)))
+    prefix[:8] = _MAGIC + bytes((FORMAT_VERSION,))
+    prefix[8:_PREFIX] = len(header).to_bytes(8, "little")
+    prefix[_PREFIX:_PREFIX + len(header)] = header
     own = isinstance(fp, str)
-    out = open(fp, "w") if own else fp
+    out = open(fp, "wb") if own else fp
     try:
-        out.write(json.dumps(header) + "\n")
-        out.write(body)
+        hasher = hashlib.sha256(prefix)
+        out.write(prefix)
+        for packed, nbytes in packs:
+            # Every thread's block starts 8-byte aligned, so its spans
+            # relative to the block are the header's minus its offset.
+            block = bytearray(nbytes)
+            packed.to_shm(block, 0)
+            hasher.update(block)
+            out.write(block)
+        out.write(hasher.digest())
     finally:
         if own:
             out.close()
 
 
-def _verify_checksum(header: dict, body: str) -> None:
-    expected = header.get("sha256")
-    if not isinstance(expected, str):
-        raise TraceCorruptError(
-            "trace header is missing its sha256 checksum",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
-    stripped = {k: v for k, v in header.items() if k != "sha256"}
-    actual = hashlib.sha256(
-        (json.dumps(stripped) + "\n" + body).encode("utf-8")
-    ).hexdigest()
-    if actual != expected:
-        raise TraceCorruptError(
-            f"trace stream failed its checksum (expected {expected[:12]}.., "
-            f"got {actual[:12]}..)",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
+def _read(fp: Union[str, IO]) -> bytes:
+    if isinstance(fp, str):
+        with open(fp, "rb") as inp:
+            return inp.read()
+    return fp.read()
 
 
 def load_traces(fp: Union[str, IO], program=None) -> TraceSet:
     """Read a :class:`TraceSet` written by :func:`save_traces`.
 
-    Raises :class:`~repro.errors.TraceCorruptError` (a ``ValueError``
+    ``fp`` is a path or a binary file object.  Every thread's columns
+    are zero-copy views over the one buffer read.  Raises
+    :class:`~repro.errors.TraceCorruptError` (a ``ValueError``
     subclass) when the stream is empty, truncated, bit-flipped, fails
-    its checksum, or was written under an unsupported format version.
+    its checksum, or was written under another format version.
     """
-    own = isinstance(fp, str)
-    inp = open(fp) if own else fp
-    try:
-        text = inp.read()
-    finally:
-        if own:
-            inp.close()
-    plan = faults.active()
-    if plan is not None:
-        encoded = text.encode("utf-8")
-        raw = plan.mangle("trace.load", encoded)
-        if raw is not encoded:
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceCorruptError(
-                    f"trace stream is not valid UTF-8: {exc}",
-                    site="trace.load", hint=_CORRUPT_HINT,
-                ) from None
-    if not text.strip():
-        raise TraceCorruptError(
-            "trace stream is empty (truncated before the header?)",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
-    header_line, _newline, body = text.partition("\n")
-    try:
-        header = json.loads(header_line)
-    except ValueError as exc:
-        raise TraceCorruptError(
-            f"trace header is not valid JSON: {exc}",
-            site="trace.load", hint=_CORRUPT_HINT,
-        ) from None
-    if not isinstance(header, dict) or "version" not in header:
-        raise TraceCorruptError(
-            "trace header is not an object with a 'version' field",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
-    version = header.get("version")
-    if version not in SUPPORTED_VERSIONS:
-        raise TraceCorruptError(
-            f"unsupported trace format version {version!r} "
-            f"(this release reads {SUPPORTED_VERSIONS})",
-            site="trace.load",
+    data = faults.mangle("trace.load", _read(fp))
+    if not data:
+        raise _corrupt("trace stream is empty (truncated before the header?)")
+    if data[:len(_MAGIC)] != _MAGIC[:len(data)]:
+        raise _corrupt(
+            "not a binary trace file (bad magic)",
+            hint="the file was written by an incompatible release or is "
+                 "not a trace file; re-trace the workload")
+    if len(data) > len(_MAGIC) and data[len(_MAGIC)] != FORMAT_VERSION:
+        raise _corrupt(
+            f"unsupported trace format version {data[len(_MAGIC)]} "
+            f"(this release reads {FORMAT_VERSION})",
             hint="the file was written by an incompatible release; "
-                 "re-trace the workload",
-        )
-    if version >= 2:
-        _verify_checksum(header, body)
-    traces = TraceSet(workload=header.get("workload", ""), program=program)
-    skipped = header.get("untraced_skipped", {})
-    if not isinstance(skipped, dict):
-        raise TraceCorruptError(
-            "trace header field 'untraced_skipped' is not an object",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
-    traces.untraced_skipped = dict(skipped)
-    for lineno, line in enumerate(body.splitlines(), start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise TraceCorruptError(
-                f"trace record at line {lineno} is truncated or garbled",
-                site="trace.load", hint=_CORRUPT_HINT,
-            ) from None
-        try:
+                 "re-trace the workload")
+    if len(data) < _PREFIX + _DIGEST:
+        raise _corrupt(f"trace stream truncated at {len(data)} bytes")
+    view = memoryview(data)
+    body = view[:-_DIGEST]
+    expected = bytes(view[-_DIGEST:])
+    actual = hashlib.sha256(body).digest()
+    if actual != expected:
+        raise _corrupt(
+            f"trace stream failed its checksum (expected "
+            f"{expected.hex()[:12]}.., got {actual.hex()[:12]}..)")
+    length = int.from_bytes(data[8:_PREFIX], "little")
+    base = _align(_PREFIX + length)
+    if base > len(body):
+        raise _corrupt("trace header overruns the stream")
+    try:
+        header = json.loads(bytes(view[_PREFIX:_PREFIX + length]))
+        traces = TraceSet(workload=header["workload"], program=program)
+        traces.untraced_skipped = dict(header["untraced_skipped"])
+        columns = body[base:]
+        for record in header["threads"]:
             trace = traces.new_thread(record["cpu_tid"], record["root"])
+            if record["index"] != trace.index:
+                raise ValueError(f"thread index {record['index']} out of "
+                                 f"order (expected {trace.index})")
             trace.skipped = dict(record["skipped"])
-            # Decode straight into the columnar form; token tuples stay
-            # lazy (materialized only if a consumer reads .tokens), so
-            # the whole load -> replay path runs on compact buffers.
-            trace.attach_packed(PackedTrace.from_records(record["tokens"]))
-        except (KeyError, TypeError, IndexError, ValueError,
-                OverflowError) as exc:
-            raise TraceCorruptError(
-                f"trace record at line {lineno} is malformed: "
-                f"{type(exc).__name__}: {exc}",
-                site="trace.load", hint=_CORRUPT_HINT,
-            ) from None
-        trace.closed = True
-    expected_threads = header.get("n_threads")
-    if isinstance(expected_threads, int) \
-            and len(traces.threads) != expected_threads:
-        raise TraceCorruptError(
-            f"trace stream truncated: header promises {expected_threads} "
-            f"threads, found {len(traces.threads)}",
-            site="trace.load", hint=_CORRUPT_HINT,
-        )
+            trace.attach_packed(_attach(record, columns))
+            trace.closed = True
+    except (KeyError, TypeError, IndexError, ValueError,
+            OverflowError) as exc:
+        raise _corrupt(f"trace header is malformed: "
+                       f"{type(exc).__name__}: {exc}") from None
     return traces
+
+
+def _attach(record: dict, columns: memoryview) -> PackedTrace:
+    """One thread's :class:`PackedTrace` over the column region."""
+    spans = record["spans"]
+    if len(spans) != len(SHM_COLUMNS):
+        raise ValueError(f"{len(spans)} column spans, "
+                         f"expected {len(SHM_COLUMNS)}")
+    for (attr, typecode), (offset, count) in zip(SHM_COLUMNS, spans):
+        itemsize = 1 if typecode == "b" else 8
+        if offset < 0 or count < 0 \
+                or offset + count * itemsize > len(columns):
+            raise ValueError(f"column {attr} overruns the stream")
+    packed = PackedTrace.from_shm(
+        (record["signature"], record["names"], spans), columns)
+    n = packed.n_tokens
+    n_mems = len(packed.mslot)
+    if any(len(getattr(packed, attr)) != want for attr, want in (
+            ("cumn", n + 1), ("moff", n + 1), ("arg", n), ("nins", n),
+            ("runs", n), ("mcnt", n), ("bext", n), ("mstore", n_mems),
+            ("maddr", n_mems), ("msize", n_mems), ("msegf", n_mems),
+            ("msegl", n_mems))) or packed.moff[n] != n_mems:
+        raise ValueError("column lengths are inconsistent")
+    return packed

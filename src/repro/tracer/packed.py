@@ -70,12 +70,13 @@ _PACK_HINT = (
     "workload (or clear the artifact cache) to rebuild the trace"
 )
 
-#: Column layout of one packed trace inside a shared-memory arena:
-#: ``(attribute, array typecode)`` in serialization order.  Derived
-#: columns (``cumn``, ``runs``, ``msegf``, ``msegl``, ``mcnt``,
-#: ``bext``) are exported too, so attaching workers never recompute
-#: prefix sums -- but only the eight pristine columns participate in
-#: the content signature, exactly as for in-process instances.
+#: Column layout of one packed trace inside a shared-memory arena and
+#: a trace file (:mod:`repro.tracer.io`): ``(attribute, array
+#: typecode)`` in serialization order.  Derived columns (``cumn``,
+#: ``runs``, ``msegf``, ``msegl``, ``mcnt``, ``bext``) are exported
+#: too, so attaching workers and loads never recompute prefix sums --
+#: but only the eight pristine columns participate in the content
+#: signature, exactly as for in-process instances.
 SHM_COLUMNS = (
     ("kinds", "b"),
     ("arg", "q"),
@@ -210,67 +211,6 @@ class PackedTrace:
         return cls(kinds, arg, nins, moff, mslot, mstore, maddr, msize,
                    tuple(names))
 
-    @classmethod
-    def from_records(cls, records: Iterable) -> "PackedTrace":
-        """Pack decoded wire records (lists) without building tuples.
-
-        Raises the same exception families as tuple decoding on malformed
-        input (``KeyError``/``TypeError``/``IndexError``/``ValueError``/
-        ``OverflowError``) so :func:`repro.tracer.io.load_traces` can map
-        them onto :class:`~repro.errors.TraceCorruptError`.
-        """
-        kinds = array("b")
-        arg = array("q")
-        nins = array("q")
-        moff = array("q", (0,))
-        mslot = array("q")
-        mstore = array("b")
-        maddr = array("q")
-        msize = array("q")
-        names: List[str] = []
-        name_idx = {}
-        for rec in records:
-            kind = rec[0]
-            if kind == TOK_BLOCK:
-                flat = rec[3]
-                if len(flat) % 4:
-                    raise ValueError("mem record array not a multiple of 4")
-                kinds.append(KIND_B)
-                arg.append(rec[1])
-                nins.append(rec[2])
-                for i in range(0, len(flat), 4):
-                    mslot.append(flat[i])
-                    mstore.append(1 if flat[i + 1] else 0)
-                    maddr.append(flat[i + 2])
-                    msize.append(flat[i + 3])
-            elif kind == TOK_CALL:
-                callee = rec[1]
-                if not isinstance(callee, str):
-                    raise TypeError(f"callee must be a string: {callee!r}")
-                idx = name_idx.setdefault(callee, len(names))
-                if idx == len(names):
-                    names.append(callee)
-                kinds.append(KIND_CALL)
-                arg.append(idx)
-                nins.append(0)
-            elif kind == TOK_RET:
-                kinds.append(KIND_RET)
-                arg.append(0)
-                nins.append(0)
-            elif kind == TOK_LOCK:
-                kinds.append(KIND_LOCK)
-                arg.append(rec[1])
-                nins.append(0)
-            elif kind == TOK_UNLOCK:
-                kinds.append(KIND_UNLOCK)
-                arg.append(rec[1])
-                nins.append(0)
-            else:
-                raise ValueError(f"unknown trace token kind {kind!r}")
-            moff.append(len(mslot))
-        return cls(kinds, arg, nins, moff, mslot, mstore, maddr, msize,
-                   tuple(names))
-
     # ------------------------------------------------------------------
     # reconstruction (cold paths: error messages, lazy materialization)
 
@@ -301,42 +241,24 @@ class PackedTrace:
         """Materialize the full tuple stream (identical to the original)."""
         return [self.token(i) for i in range(self.n_tokens)]
 
-    def to_records(self) -> List[list]:
-        """The wire-format records of :mod:`repro.tracer.io`.
-
-        Byte-for-byte identical (after JSON encoding) to encoding the
-        tuple stream, so artifact checksums do not depend on which
-        representation a trace is in when it is saved.
-        """
-        out = []
-        kinds, arg, nins, moff = self.kinds, self.arg, self.nins, self.moff
-        mslot, mstore, maddr, msize = (
-            self.mslot, self.mstore, self.maddr, self.msize)
-        for i in range(self.n_tokens):
-            kind = kinds[i]
-            if kind == KIND_B:
-                flat = []
-                for j in range(moff[i], moff[i + 1]):
-                    flat.extend((mslot[j], mstore[j], maddr[j], msize[j]))
-                out.append([TOK_BLOCK, arg[i], nins[i], flat])
-            elif kind == KIND_CALL:
-                out.append([TOK_CALL, self.names[arg[i]]])
-            elif kind == KIND_RET:
-                out.append([TOK_RET])
-            else:
-                out.append([CODE_KINDS[kind], arg[i]])
-        return out
-
     # ------------------------------------------------------------------
     # shared-memory export (zero-copy transport between processes)
 
-    def shm_nbytes(self) -> int:
-        """Bytes this trace occupies in an arena (aligned columns)."""
-        total = 0
+    def shm_spans(self, offset: int = 0) -> Tuple[tuple, int]:
+        """Where :meth:`to_shm` puts each column when writing at
+        ``offset``: ``((start, count), ...)`` in :data:`SHM_COLUMNS`
+        order, plus the aligned end offset."""
+        spans = []
         for attr, _ in SHM_COLUMNS:
             column = getattr(self, attr)
-            total = _align(total) + len(column) * column.itemsize
-        return _align(total)
+            offset = _align(offset)
+            spans.append((offset, len(column)))
+            offset += len(column) * column.itemsize
+        return tuple(spans), _align(offset)
+
+    def shm_nbytes(self) -> int:
+        """Bytes this trace occupies in an arena (aligned columns)."""
+        return self.shm_spans()[1]
 
     def to_shm(self, buf, offset: int) -> Tuple[tuple, int]:
         """Copy the columns into ``buf`` at ``offset`` (a writable
@@ -349,16 +271,12 @@ class PackedTrace:
         descriptor, so attaching workers re-verify the shared columns
         exactly like locally packed ones.
         """
-        spans = []
+        spans, end = self.shm_spans(offset)
         view = memoryview(buf)
-        for attr, typecode in SHM_COLUMNS:
-            column = getattr(self, attr)
-            raw = column.tobytes()
-            offset = _align(offset)
-            view[offset:offset + len(raw)] = raw
-            spans.append((offset, len(column)))
-            offset += len(raw)
-        return (self.signature, self.names, tuple(spans)), _align(offset)
+        for (attr, _), (start, count) in zip(SHM_COLUMNS, spans):
+            raw = memoryview(getattr(self, attr)).cast("B")
+            view[start:start + len(raw)] = raw
+        return (self.signature, self.names, spans), end
 
     @classmethod
     def from_shm(cls, descriptor: tuple, buf) -> "PackedTrace":
@@ -447,7 +365,7 @@ class PackedTrace:
         hasher.update(self.n_tokens.to_bytes(8, "little"))
         for column in (self.kinds, self.arg, self.nins, self.moff,
                        self.mslot, self.mstore, self.maddr, self.msize):
-            hasher.update(column.tobytes())
+            hasher.update(column)
             hasher.update(b"\x00")
         for name in self.names:
             hasher.update(name.encode("utf-8"))

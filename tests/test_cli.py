@@ -42,7 +42,7 @@ class TestAnalyzeCommand:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_save_traces(self, tmp_path, capsys):
-        path = str(tmp_path / "t.jsonl")
+        path = str(tmp_path / "t.trace")
         rc = main(["analyze", "nn", "--threads", "8",
                    "--save-traces", path])
         assert rc == 0

@@ -260,6 +260,32 @@ class TestFatalErrorsPropagate:
         assert isinstance(excinfo.value.__cause__, OSError)
 
 
+class TestCorruptTraceArtifacts:
+    """A mangled stored trace is quarantined and re-traced, never replayed."""
+
+    @pytest.mark.parametrize("kind", ["bitflip", "truncate"])
+    @pytest.mark.parametrize("site", ["artifact.read", "trace.load"])
+    def test_quarantined_and_retraced(self, tmp_path, baseline, site, kind):
+        cache = str(tmp_path / "cache")
+        with faults.injected(None):
+            AnalysisSession(cache_dir=cache).trace("vectoradd",
+                                                   n_threads=N_THREADS)
+        plan = FaultPlan([FaultSpec(site=site, kind=kind)])
+        with faults.injected(plan):
+            session = AnalysisSession(cache_dir=cache)
+            traces = session.trace("vectoradd", n_threads=N_THREADS)
+        assert plan.injected == {site: 1}
+        assert session.executions == 1
+        assert session.store.stats.corrupt == 1
+        assert session.store.quarantined()["count"] == 1
+        assert serialize_traces(traces) == baseline["vectoradd"]
+        # The re-trace was stored again: the next session is warm.
+        with faults.injected(None):
+            warm = AnalysisSession(cache_dir=cache)
+            warm.trace("vectoradd", n_threads=N_THREADS)
+        assert warm.executions == 0
+
+
 class TestTelemetrySurface:
     def test_recovery_activity_exported_as_gauges(self, tmp_path):
         plan = FaultPlan([FaultSpec(site="pool.result", kind="timeout")])
@@ -462,8 +488,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 @pytest.fixture(scope="module")
-def trace_text(baseline):
-    return baseline["vectoradd"].decode("utf-8")
+def trace_blob(baseline):
+    return baseline["vectoradd"]
 
 
 class TestFuzzCorruption:
@@ -494,24 +520,27 @@ class TestFuzzCorruption:
 
     @settings(max_examples=30, deadline=None)
     @given(pos_frac=st.floats(min_value=0.0, max_value=1.0),
-           replacement=st.sampled_from(list('Xz9"{}[],:0')))
-    def test_loader_never_accepts_mutated_text(self, trace_text,
-                                               pos_frac, replacement):
-        pos = min(int(pos_frac * len(trace_text)), len(trace_text) - 1)
-        if trace_text[pos] == replacement:
-            replacement = "X" if trace_text[pos] != "X" else "Y"
-        mutated = trace_text[:pos] + replacement + trace_text[pos + 1:]
+           xor=st.integers(min_value=1, max_value=255))
+    def test_loader_never_accepts_mutated_text(self, trace_blob,
+                                               pos_frac, xor):
+        # Any single-byte change anywhere in the binary trace stream --
+        # magic, header, columns or the trailing digest.
+        pos = min(int(pos_frac * len(trace_blob)), len(trace_blob) - 1)
+        mutated = bytearray(trace_blob)
+        mutated[pos] ^= xor
         with faults.injected(None):
-            with pytest.raises(TraceCorruptError):
-                load_traces(io.StringIO(mutated))
+            with pytest.raises(TraceCorruptError) as excinfo:
+                load_traces(io.BytesIO(bytes(mutated)))
+        assert excinfo.value.site == "trace.load"
 
     @settings(max_examples=15, deadline=None)
     @given(keep_frac=st.floats(min_value=0.0, max_value=0.999))
-    def test_loader_never_accepts_truncation(self, trace_text, keep_frac):
-        mutated = trace_text[: int(keep_frac * len(trace_text))]
+    def test_loader_never_accepts_truncation(self, trace_blob, keep_frac):
+        mutated = trace_blob[: int(keep_frac * len(trace_blob))]
         with faults.injected(None):
-            with pytest.raises(TraceCorruptError):
-                load_traces(io.StringIO(mutated))
+            with pytest.raises(TraceCorruptError) as excinfo:
+                load_traces(io.BytesIO(mutated))
+        assert excinfo.value.site == "trace.load"
 
 
 class TestIndexFaults:

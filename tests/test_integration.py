@@ -124,7 +124,7 @@ class TestTraceFileRoundtripFlow:
         workload = get_workload("memcached")
         instance = workload.instantiate(N)
         traces, _m = trace_instance(instance)
-        path = str(tmp_path / "mc.jsonl")
+        path = str(tmp_path / "mc.trace")
         save_traces(traces, path)
         loaded = load_traces(path, program=instance.program)
         a = analyze_traces(traces, warp_size=16, emulate_locks=True)

@@ -159,7 +159,7 @@ class TestTraceSerialization:
         traces, _m = run_traced(
             program, [("worker", [t], None) for t in range(4)], ["worker"]
         )
-        buf = io.StringIO()
+        buf = io.BytesIO()
         save_traces(traces, buf)
         buf.seek(0)
         loaded = load_traces(buf)
@@ -173,12 +173,17 @@ class TestTraceSerialization:
     def test_roundtrip_via_file(self, tmp_path):
         program = build_diamond_program()
         traces, _m = run_traced(program, [("worker", [1], None)], ["worker"])
-        path = str(tmp_path / "t.jsonl")
+        path = str(tmp_path / "t.trace")
         save_traces(traces, path)
         loaded = load_traces(path)
         assert loaded.threads[0].tokens == traces.threads[0].tokens
 
     def test_version_mismatch_rejected(self):
-        buf = io.StringIO('{"version": 99}\n')
-        with pytest.raises(ValueError):
-            load_traces(buf)
+        program = build_diamond_program()
+        traces, _m = run_traced(program, [("worker", [1], None)], ["worker"])
+        buf = io.BytesIO()
+        save_traces(traces, buf)
+        data = bytearray(buf.getvalue())
+        data[7] = 99  # the format-version byte after the magic
+        with pytest.raises(ValueError, match="version"):
+            load_traces(io.BytesIO(bytes(data)))

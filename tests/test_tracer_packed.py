@@ -10,9 +10,12 @@ post-pack corruption must surface as a typed
 replay inputs or memo keys.
 """
 
+import io
+
 import pytest
 
 from repro.errors import TraceCorruptError
+from repro.tracer import load_traces, save_traces
 from repro.tracer.events import (
     TOK_BLOCK,
     TOK_CALL,
@@ -20,6 +23,7 @@ from repro.tracer.events import (
     TOK_RET,
     TOK_UNLOCK,
     ThreadTrace,
+    TraceSet,
 )
 from repro.tracer.packed import TRANSACTION_SHIFT, PackedTrace
 from repro.workloads import get_workload, trace_instance
@@ -69,10 +73,15 @@ class TestRoundTrip:
         assert packed.names == ("helper", "leaf")
 
     def test_records_round_trip_through_wire_format(self):
-        packed = PackedTrace.from_tokens(SAMPLE_TOKENS)
-        again = PackedTrace.from_records(packed.to_records())
+        traces = TraceSet("sample")
+        traces.new_thread(0, "worker").tokens = list(SAMPLE_TOKENS)
+        buffer = io.BytesIO()
+        save_traces(traces, buffer)
+        buffer.seek(0)
+        again = load_traces(buffer).threads[0].packed()
         assert again.to_tokens() == SAMPLE_TOKENS
-        assert again.signature == packed.signature
+        assert again.signature == traces.threads[0].signature
+        again.ensure_verified()
 
     @pytest.mark.parametrize("name", ["vectoradd", "memcached", "pigz"])
     def test_real_workload_streams_round_trip(self, name):
@@ -275,8 +284,12 @@ class TestPackedProperties:
     @given(tokens=_tokens)
     def test_signature_canonical_over_representations(self, tokens):
         direct = PackedTrace.from_tokens(tokens)
-        via_wire = PackedTrace.from_records(direct.to_records())
-        assert via_wire.signature == direct.signature
+        buf = bytearray(direct.shm_nbytes())
+        descriptor, end = direct.to_shm(buf, 0)
+        assert end == len(buf)
+        attached = PackedTrace.from_shm(descriptor, buf)
+        assert attached._digest() == direct.signature
+        assert attached.to_tokens() == tokens
 
     @settings(max_examples=60, deadline=None)
     @given(tokens=_tokens)

@@ -1,38 +1,37 @@
-"""Analyzer replay throughput: seed vs packed vs vectorized replay.
+"""Analyzer replay throughput of the warp replayer.
 
-Measures analyze-side wall clock for three replay engines -- the seed
-tuple replayer (``packed=False, memo=False``), the packed pipeline
-(columnar cursors, batched converged runs, DCFG scan dedup,
-signature-keyed warp memoization) with ``vector=False``, and the
-vectorized bulk-span replayer on top of it -- over the five core
-workloads, plus a synthetic replicated-lane workload that exercises the
-warp-memo fast path directly.  Results go to
-``benchmarks/results/perf_replay.txt`` and the machine-readable
-``BENCH_replay.json`` at the repo root.
+Times ``analyze()`` over the five core workloads plus a synthetic
+replicated-lane workload that exercises the warp-memo fast path
+directly.  Results go to ``benchmarks/results/perf_replay.txt`` and the
+machine-readable ``BENCH_replay.json`` at the repo root.
 
-The packed and vectorized analyzers run in alternating order within
-each round: they are the close pair whose ratio gates acceptance, and
-interleaving cancels slow drift (thermal, cache warmup) that a
-measure-all-of-A-then-all-of-B loop folds into the ratio.
+Per workload the file records the best-of-``ROUNDS`` replay time
+(``replay_s``) and its thread-instruction throughput (``ips``), the
+one-time trace packing cost (``pack_s``, paid once per trace set and
+shared by every later analysis, so it is charged separately), the
+fraction of tokens the replayer consumed through its bulk-span steps
+(``vector_token_fraction``) and the memo counts.
 
-One-time trace *packing* is timed separately (``pack_s``): it is paid
-once per trace set and shared by every subsequent analysis, so folding
-it into per-analysis replay time would misstate both.
+Every core report must match the frozen seed report of its cell in
+``tests/fixtures/seed_reports.json`` bit for bit, and the replicated
+workload must report the same with memoization on and off.  Two
+deterministic, hardware-independent metrics are gated against the
+committed ``BENCH_replay.json``: no workload's ``vector_token_fraction``
+may fall below its committed value (a bulk-span step that stopped
+firing), and the replicated workload must hit the memo on every warp
+after the first.
 
 Two modes:
 
-* full (default): five workloads at 64 threads, best-of-3; asserts the
-  acceptance targets -- packed replay >= 1.5x geomean over seed replay
-  and vectorized replay >= 1.4x geomean over packed replay -- and
-  bit-identical reports across all three engines and memo on/off.
-* smoke (``THREADFUSER_PERF_SMOKE=1``): one small workload, best-of-2,
-  with deliberately generous floors -- a CI canary against massive
-  regressions, not a precision measurement.
+* full (default): five workloads at 64 threads, best-of-3; rewrites
+  ``BENCH_replay.json``.
+* smoke (``THREADFUSER_PERF_SMOKE=1``): one workload, best-of-2 -- a CI
+  canary for the checks above, not a precision measurement.
 """
 
 import json
 import os
-import pickle
+import sys
 import time
 
 from conftest import emit, run_once
@@ -43,64 +42,33 @@ from repro.obs import Recorder
 from repro.tracer.events import TraceSet
 from repro.workloads import get_workload, trace_instance
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from seed_fixture import canonical, dumps, expected, grid_cell  # noqa: E402
+
+BENCH_FILE = os.path.join(ROOT, "BENCH_replay.json")
+
 SMOKE = os.environ.get("THREADFUSER_PERF_SMOKE") == "1"
 
 WORKLOADS = ["nbody"] if SMOKE else [
     "nbody", "pigz", "memcached", "streamcluster", "md5",
 ]
-N_THREADS = 32 if SMOKE else 64
+#: A frozen seed grid size, so every core report has a reference cell.
+N_THREADS = 64
 WARP_SIZE = 32
 ROUNDS = 2 if SMOKE else 3
 
-#: Full-mode acceptance: the packed replay pipeline's reason to exist.
-FULL_MIN_GEOMEAN_SPEEDUP = 1.5
 
-#: Full-mode acceptance for the vectorized bulk-span path, measured
-#: against the packed pipeline it extends (not against seed replay).
-FULL_MIN_GEOMEAN_VECTOR = 1.4
-
-#: Smoke floor: packed replay must not be drastically slower than seed
-#: replay.  Measured speedups are ~2x; only a broken fast path trips it.
-SMOKE_MIN_SPEEDUP = 0.6
-
-#: Smoke floor for vector-over-packed: deliberately below 1.0 -- smoke
-#: hardware is noisy and the smoke workload tiny; this only catches a
-#: catastrophically broken bulk path.
-SMOKE_MIN_VECTOR_SPEEDUP = 0.5
-
-
-def _canonical(report):
-    """One comparable value covering every report observable.
-
-    Pickling is deterministic here (dict insertion orders are part of
-    the replay contract), so equal bytes mean bit-identical reports.
-    """
-    return pickle.dumps(report)
-
-
-def _best(analyzer, traces):
-    best = float("inf")
-    report = None
-    for _ in range(ROUNDS):
-        t0 = time.perf_counter()
-        report = analyzer.analyze(traces)
-        best = min(best, time.perf_counter() - t0)
-    return best, report
-
-
-def _best_pair(first, second, traces):
-    """Best-of-ROUNDS for two analyzers, alternating order each round."""
-    bests = {id(first): float("inf"), id(second): float("inf")}
-    reports = {}
-    for round_no in range(ROUNDS):
-        order = (first, second) if round_no % 2 == 0 else (second, first)
-        for analyzer in order:
-            t0 = time.perf_counter()
-            reports[id(analyzer)] = analyzer.analyze(traces)
-            bests[id(analyzer)] = min(bests[id(analyzer)],
-                                      time.perf_counter() - t0)
-    return ((bests[id(first)], reports[id(first)]),
-            (bests[id(second)], reports[id(second)]))
+def _committed_fractions():
+    """``{workload: vector_token_fraction}`` of the committed file."""
+    try:
+        with open(BENCH_FILE) as fh:
+            rows = json.load(fh).get("workloads", {})
+    except (OSError, ValueError):
+        return {}
+    return {name: row["vector_token_fraction"] for name, row in rows.items()
+            if "vector_token_fraction" in row}
 
 
 def _replicated_traces(n_threads):
@@ -121,150 +89,106 @@ def _replicated_traces(n_threads):
     return replicated
 
 
-def _measure(name, traces):
+def _measure(traces):
     cfg = AnalyzerConfig(warp_size=WARP_SIZE)
-    seed_s, seed_report = _best(
-        ThreadFuserAnalyzer(cfg, memo=False, packed=False), traces)
-
     t0 = time.perf_counter()
     for thread in traces:
         thread.packed()
     pack_s = time.perf_counter() - t0
 
-    packed = ThreadFuserAnalyzer(cfg, vector=False)
-    recorder = Recorder()
-    vectorized = ThreadFuserAnalyzer(cfg, recorder=recorder)
-    ((packed_s, packed_report),
-     (vector_s, vector_report)) = _best_pair(packed, vectorized, traces)
-    nomemo_report = ThreadFuserAnalyzer(cfg, memo=False).analyze(traces)
-
-    # Bit-identical acceptance: packed, vectorized, and memo replay are
-    # invisible optimizations, in any combination.
-    assert _canonical(packed_report) == _canonical(seed_report), name
-    assert _canonical(vector_report) == _canonical(seed_report), name
-    assert _canonical(nomemo_report) == _canonical(seed_report), name
+    replay_s = float("inf")
+    for _ in range(ROUNDS):
+        recorder = Recorder()
+        analyzer = ThreadFuserAnalyzer(cfg, recorder=recorder)
+        t0 = time.perf_counter()
+        report = analyzer.analyze(traces)
+        replay_s = min(replay_s, time.perf_counter() - t0)
 
     gauges = recorder.telemetry().gauges
     lookups = gauges.get("memo.warp_lookups", 0)
     hits = gauges.get("memo.warp_hits", 0)
-    instructions = vector_report.metrics.thread_instructions
-    return {
+    instructions = report.metrics.thread_instructions
+    row = {
         "thread_instructions": instructions,
-        "seed_replay_s": seed_s,
-        "packed_replay_s": packed_s,
-        "vector_replay_s": vector_s,
+        "replay_s": replay_s,
         "pack_s": pack_s,
-        "seed_ips": instructions / seed_s,
-        "packed_ips": instructions / packed_s,
-        "vector_ips": instructions / vector_s,
-        "speedup": seed_s / packed_s,
-        "vector_speedup": packed_s / vector_s,
+        "ips": instructions / replay_s,
         "vector_token_fraction": gauges.get(
             "replay.vector_token_fraction", 0.0),
         "memo_lookups": lookups,
         "memo_hits": hits,
         "memo_hit_rate": hits / lookups if lookups else 0.0,
     }
-
-
-def _geomean(values):
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
+    return row, report
 
 
 def test_replay_throughput(benchmark):
+    committed = _committed_fractions()
+
     def experiment():
         rows = {}
         for name in WORKLOADS:
             traces, _ = trace_instance(
                 get_workload(name).instantiate(N_THREADS))
-            rows[name] = _measure(name, traces)
-        # At least two full warps, so the memo path has a hit to show
-        # even when smoke mode shrinks N_THREADS to one warp.
-        rows["replicated"] = _measure(
-            "replicated", _replicated_traces(max(N_THREADS, 2 * WARP_SIZE)))
+            rows[name], report = _measure(traces)
+            assert dumps(canonical(report)) == expected(
+                grid_cell(name, WARP_SIZE, "off")), name
+        replicated = _replicated_traces(2 * WARP_SIZE)
+        rows["replicated"], report = _measure(replicated)
+        plain = ThreadFuserAnalyzer(AnalyzerConfig(warp_size=WARP_SIZE),
+                                    memo=False).analyze(replicated)
+        assert dumps(canonical(report)) == dumps(canonical(plain))
         return rows
 
     rows = run_once(benchmark, experiment)
 
     lines = [
-        "Analyzer replay throughput (seed vs packed vs vectorized; "
-        f"{'smoke' if SMOKE else 'full'} mode, {N_THREADS} threads, "
+        "Analyzer replay throughput "
+        f"({'smoke' if SMOKE else 'full'} mode, {N_THREADS} threads, "
         f"warp {WARP_SIZE}, best of {ROUNDS}, "
         f"vector backend {vector.BACKEND})",
-        "{:<14} {:>11} {:>8} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>5}"
-        .format("workload", "thread-ins", "seed", "packed", "vector",
-                "pack", "spdup", "vspdup", "vfrac", "memo"),
-        "{:<14} {:>11} {:>8} {:>8} {:>8} {:>7} {:>7} {:>7} {:>6} {:>5}"
-        .format("", "", "ms", "ms", "ms", "ms", "", "", "", "rate"),
+        "{:<14} {:>11} {:>8} {:>7} {:>12} {:>6} {:>5}"
+        .format("workload", "thread-ins", "replay", "pack", "ips",
+                "vfrac", "memo"),
+        "{:<14} {:>11} {:>8} {:>7} {:>12} {:>6} {:>5}"
+        .format("", "", "ms", "ms", "", "", "rate"),
     ]
     for name, r in rows.items():
         lines.append(
             f"{name:<14} {r['thread_instructions']:>11} "
-            f"{r['seed_replay_s'] * 1e3:>8.1f} "
-            f"{r['packed_replay_s'] * 1e3:>8.1f} "
-            f"{r['vector_replay_s'] * 1e3:>8.1f} "
+            f"{r['replay_s'] * 1e3:>8.1f} "
             f"{r['pack_s'] * 1e3:>7.1f} "
-            f"{r['speedup']:>6.2f}x "
-            f"{r['vector_speedup']:>6.2f}x "
+            f"{r['ips']:>12.0f} "
             f"{r['vector_token_fraction']:>6.2f} "
             f"{r['memo_hit_rate']:>5.2f}"
         )
-    core = [rows[name]["speedup"] for name in WORKLOADS]
-    geomean = _geomean(core)
-    vector_geomean = _geomean(
-        [rows[name]["vector_speedup"] for name in WORKLOADS])
-    lines.append(f"geomean speedup (core workloads): {geomean:.2f}x "
-                 f"packed/seed, {vector_geomean:.2f}x vector/packed")
     emit("perf_replay_smoke" if SMOKE else "perf_replay",
          "\n".join(lines))
 
-    payload = {
-        "mode": "smoke" if SMOKE else "full",
-        "n_threads": N_THREADS,
-        "warp_size": WARP_SIZE,
-        "rounds": ROUNDS,
-        "unit": "thread-instructions/second of analyze(), single process",
-        "baseline": "seed replay (ThreadFuserAnalyzer(memo=False, "
-                    "packed=False)); vector_speedup is measured against "
-                    "the packed pipeline (vector=False)",
-        "vector_backend": vector.BACKEND,
-        "workloads": rows,
-        "geomean_speedup": geomean,
-        "geomean_vector_speedup": vector_geomean,
-    }
     if not SMOKE:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        with open(os.path.join(root, "BENCH_replay.json"), "w") as fh:
+        payload = {
+            "mode": "full",
+            "n_threads": N_THREADS,
+            "warp_size": WARP_SIZE,
+            "rounds": ROUNDS,
+            "unit": "thread-instructions/second of analyze(), "
+                    "single process",
+            "vector_backend": vector.BACKEND,
+            "workloads": rows,
+        }
+        with open(BENCH_FILE, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+    for name, floor in committed.items():
+        if name in rows:
+            assert rows[name]["vector_token_fraction"] >= floor, (
+                f"{name}: bulk-span token fraction "
+                f"{rows[name]['vector_token_fraction']:.4f} fell below "
+                f"the committed {floor:.4f}")
 
     # The replicated workload must demonstrate the memo fast path:
     # every warp after the first is a hit.
     replicated = rows["replicated"]
     assert replicated["memo_lookups"] >= 2
     assert replicated["memo_hits"] == replicated["memo_lookups"] - 1
-
-    if SMOKE:
-        for name in WORKLOADS:
-            assert rows[name]["speedup"] >= SMOKE_MIN_SPEEDUP, (
-                f"{name}: packed replay far below seed replay "
-                f"({rows[name]['speedup']:.2f}x)"
-            )
-            assert (rows[name]["vector_speedup"]
-                    >= SMOKE_MIN_VECTOR_SPEEDUP), (
-                f"{name}: vectorized replay far below packed replay "
-                f"({rows[name]['vector_speedup']:.2f}x)"
-            )
-    else:
-        assert geomean >= FULL_MIN_GEOMEAN_SPEEDUP, (
-            f"packed replay geomean speedup {geomean:.2f}x is below the "
-            f"{FULL_MIN_GEOMEAN_SPEEDUP}x acceptance target"
-        )
-        assert vector_geomean >= FULL_MIN_GEOMEAN_VECTOR, (
-            f"vectorized replay geomean speedup {vector_geomean:.2f}x "
-            f"over packed replay is below the {FULL_MIN_GEOMEAN_VECTOR}x "
-            f"acceptance target"
-        )

@@ -79,11 +79,6 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
                         help="disable warp-replay memoization (results are "
                              "bit-identical either way, see "
                              "docs/PERFORMANCE.md)")
-    parser.add_argument("--no-vector", action="store_true",
-                        help="disable vectorized bulk-span replay and fall "
-                             "back to the per-token packed replayer "
-                             "(results are bit-identical either way, see "
-                             "docs/PERFORMANCE.md)")
     parser.add_argument("--pool", default="shared",
                         choices=("shared", "fork"),
                         help="parallel substrate for --jobs: 'shared' "
@@ -103,7 +98,6 @@ def _session_from_args(args) -> AnalysisSession:
                            recorder=recorder,
                            engine=getattr(args, "engine", None),
                            memo=not getattr(args, "no_memo", False),
-                           vector=not getattr(args, "no_vector", False),
                            pool=getattr(args, "pool", "shared"))
 
 
@@ -267,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "history", help="perf trajectory of bench metrics")
     history.add_argument("--metric", default=None,
                          help="flattened metric name, e.g. "
-                              "geomean_vector_speedup (see "
+                              "workloads.pigz.vector_token_fraction (see "
                               "'bench_compare --list-metrics')")
     history.add_argument("--workload", default=None,
                          help="per-workload pivot: every tracked "
@@ -325,8 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="execution engine for the trace stage")
     serve.add_argument("--no-memo", action="store_true",
                        help="disable warp-replay memoization")
-    serve.add_argument("--no-vector", action="store_true",
-                       help="disable vectorized bulk-span replay")
     serve.add_argument("--pool", default="shared",
                        choices=("shared", "fork"),
                        help="parallel substrate for --jobs (default shared)")

@@ -32,7 +32,7 @@ from .dcfg import DCFGSet, build_dcfgs
 from .ipdom import compute_all_ipdoms
 from .metrics import AggregateMetrics, WarpMetrics
 from . import vector as vector_mod
-from .replay import PackedWarpReplayer, VectorWarpReplayer, WarpReplayer
+from .replay import WarpReplayer
 from .report import AnalysisReport
 from .warp import form_warps
 
@@ -87,29 +87,21 @@ class ThreadFuserAnalyzer:
     the shared no-op recorder is used and instrumentation costs nothing
     beyond a no-op call per stage.
 
-    ``memo``, ``packed``, and ``vector`` are execution knobs like
-    ``jobs`` (they never change the result, so they stay out of
-    :class:`AnalyzerConfig` and its fingerprint): ``packed`` replays
-    over the columnar :class:`~repro.tracer.packed.PackedTrace` form
-    with batched converged-run accounting, ``vector`` upgrades packed
-    replay to the bulk-span :class:`VectorWarpReplayer` (whole
-    converged spans per step, coalescing computed from whole column
-    slices by :mod:`repro.core.vector`; meaningless without
-    ``packed``), and ``memo`` reuses the metrics of an
-    already-replayed warp when a later warp's ordered lane-signature
-    tuple matches (a content-addressed cache over
-    :attr:`ThreadTrace.signature`).  All default on; ``--no-memo`` and
-    ``--no-vector`` surface them on the CLI.  Memo hit counts and the
-    vectorized token fraction are exported as ``memo.*`` /
-    ``replay.vector_*`` telemetry *gauges*, never counters -- they
-    legitimately differ between ``jobs=1`` and ``jobs=N`` (each shard
-    memoizes locally; memo hits skip replays) while counters must stay
-    bit-identical.
+    ``memo`` is an execution knob like ``jobs`` (it never changes the
+    result, so it stays out of :class:`AnalyzerConfig` and its
+    fingerprint): it reuses the metrics of an already-replayed warp
+    when a later warp's ordered lane-signature tuple matches (a
+    content-addressed cache over :attr:`ThreadTrace.signature`).  On
+    by default; ``--no-memo`` surfaces it on the CLI.  Memo hit counts
+    and the bulk-span token fraction of :class:`WarpReplayer` are
+    exported as ``memo.*`` / ``replay.vector_*`` telemetry *gauges*,
+    never counters -- they legitimately differ between ``jobs=1`` and
+    ``jobs=N`` (each shard memoizes locally; memo hits skip replays)
+    while counters must stay bit-identical.
     """
 
     def __init__(self, config: Optional[AnalyzerConfig] = None,
                  jobs: int = 1, recorder=None, memo: bool = True,
-                 packed: bool = True, vector: bool = True,
                  pool: str = "shared",
                  stage_timeout: Optional[float] = None) -> None:
         if pool not in ("shared", "fork"):
@@ -120,8 +112,6 @@ class ThreadFuserAnalyzer:
         self.jobs = max(1, int(jobs))
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.memo = bool(memo)
-        self.packed = bool(packed)
-        self.vector = bool(vector)
         self.pool = pool
         self.stage_timeout = stage_timeout
 
@@ -132,7 +122,7 @@ class ThreadFuserAnalyzer:
     def prepare(self, traces: TraceSet) -> DCFGSet:
         """Build the DCFGs and IPDOM tables (reusable across warp sizes)."""
         with self.obs.span("prepare"):
-            dcfgs = build_dcfgs(traces, dedupe=self.packed)
+            dcfgs = build_dcfgs(traces)
             compute_all_ipdoms(dcfgs)
             self.obs.count("prepare.functions", len(dcfgs.functions))
         return dcfgs
@@ -163,15 +153,14 @@ class ThreadFuserAnalyzer:
             # forces fresh serial replays (no memo reuse) -- the generated
             # warp traces stay identical with memoization on or off.
             use_memo = self.memo and visitor_factory is None
-            use_vector = self.packed and self.vector
             wanted_parallel = (self.jobs > 1 and visitor_factory is None
                                and len(warps) > 1)
             if wanted_parallel:
                 outcome = None
-                if self.pool == "shared" and self.packed:
+                if self.pool == "shared":
                     outcome = pool_mod.replay_warps_shared(
                         traces, warps, dcfgs, cfg, self.jobs,
-                        memo=use_memo, vector=use_vector,
+                        memo=use_memo,
                         stage_timeout=self.stage_timeout,
                         obs=self.obs,
                     )
@@ -182,7 +171,6 @@ class ThreadFuserAnalyzer:
                 if outcome is None:
                     outcome = _replay_parallel(
                         warps, dcfgs, cfg, self.jobs, memo=use_memo,
-                        packed=self.packed, vector=use_vector,
                         stage_timeout=self.stage_timeout,
                     )
                 if outcome is None:
@@ -218,33 +206,28 @@ class ThreadFuserAnalyzer:
                             per_warp.append((cached.clone(), len(warp)))
                             continue
                         metrics = _replay_warp(warp, dcfgs, cfg, None,
-                                               packed=self.packed,
-                                               vector=use_vector,
                                                stats=vstats)
                         memo_table[key] = metrics
                         per_warp.append((metrics, len(warp)))
                     else:
                         per_warp.append(
                             (_replay_warp(warp, dcfgs, cfg, visitor,
-                                          packed=self.packed,
-                                          vector=use_vector,
                                           stats=vstats), len(warp))
                         )
             if use_memo:
                 self.obs.gauge("memo.warp_lookups", memo_lookups)
                 self.obs.gauge("memo.warp_hits", memo_hits)
-            if use_vector:
-                # Gauges, never counters: the fraction legitimately
-                # varies with jobs/memo (hits skip whole replays)
-                # while reports and counters stay bit-identical.
-                vector_tokens, total_tokens = vstats
-                self.obs.gauge("replay.vector_tokens", vector_tokens)
-                self.obs.gauge("replay.vector_total_tokens", total_tokens)
-                self.obs.gauge(
-                    "replay.vector_token_fraction",
-                    vector_tokens / total_tokens if total_tokens else 0.0)
-                self.obs.gauge("replay.vector_backend_numpy",
-                               1 if vector_mod.numpy_active() else 0)
+            # Gauges, never counters: the fraction legitimately varies
+            # with jobs/memo (hits skip whole replays) while reports and
+            # counters stay bit-identical.
+            vector_tokens, total_tokens = vstats
+            self.obs.gauge("replay.vector_tokens", vector_tokens)
+            self.obs.gauge("replay.vector_total_tokens", total_tokens)
+            self.obs.gauge(
+                "replay.vector_token_fraction",
+                vector_tokens / total_tokens if total_tokens else 0.0)
+            self.obs.gauge("replay.vector_backend_numpy",
+                           1 if vector_mod.numpy_active() else 0)
         aggregate = AggregateMetrics(cfg.warp_size)
         for metrics, n_threads in per_warp:
             aggregate.merge(metrics, n_threads=n_threads)
@@ -287,21 +270,14 @@ class ThreadFuserAnalyzer:
 
 
 def _replay_warp(warp, dcfgs: DCFGSet, cfg: AnalyzerConfig,
-                 visitor=None, packed: bool = True, vector: bool = True,
-                 stats: Optional[list] = None) -> WarpMetrics:
-    """Replay one warp with the selected replayer.
+                 visitor=None, stats: Optional[list] = None) -> WarpMetrics:
+    """Replay one warp.
 
     ``stats``, when given, is a ``[vector_tokens, total_tokens]``
     accumulator the caller aggregates into the ``replay.vector_*``
     gauges.
     """
-    if not packed:
-        replayer_cls = WarpReplayer
-    elif vector:
-        replayer_cls = VectorWarpReplayer
-    else:
-        replayer_cls = PackedWarpReplayer
-    replayer = replayer_cls(
+    replayer = WarpReplayer(
         warp,
         dcfgs,
         warp_size=cfg.warp_size,
@@ -332,7 +308,7 @@ def _replay_shard(
         indices: List[int]
 ) -> Tuple[List[Tuple[int, WarpMetrics, int]], int, int, int, int]:
     faults.check("pool.worker", f"replay:{indices[0] if indices else '-'}")
-    warps, dcfgs, cfg, memo, packed, vector = pool_mod.fork_state()
+    warps, dcfgs, cfg, memo = pool_mod.fork_state()
     out = []
     memo_table: Dict[tuple, WarpMetrics] = {}
     lookups = hits = 0
@@ -347,21 +323,18 @@ def _replay_shard(
                 hits += 1
                 out.append((index, cached.clone(), len(warp)))
                 continue
-            metrics = _replay_warp(warp, dcfgs, cfg, packed=packed,
-                                   vector=vector, stats=vstats)
+            metrics = _replay_warp(warp, dcfgs, cfg, stats=vstats)
             memo_table[key] = metrics
             out.append((index, metrics, len(warp)))
         else:
-            out.append((index, _replay_warp(warp, dcfgs, cfg, packed=packed,
-                                            vector=vector, stats=vstats),
+            out.append((index, _replay_warp(warp, dcfgs, cfg, stats=vstats),
                         len(warp)))
     return out, lookups, hits, vstats[0], vstats[1]
 
 
 def _replay_parallel(
         warps, dcfgs: DCFGSet, cfg: AnalyzerConfig, jobs: int,
-        memo: bool = True, packed: bool = True, vector: bool = True,
-        stage_timeout: Optional[float] = None,
+        memo: bool = True, stage_timeout: Optional[float] = None,
 ) -> Optional[Tuple[List[Tuple[WarpMetrics, int]], int, int,
                     Tuple[int, int]]]:
     """Replay ``warps`` on a fork pool; None means "fall back to serial".
@@ -381,20 +354,19 @@ def _replay_parallel(
     while a worker exception that is a *bug* in replay code propagates
     with its original traceback; the fallback must never mask defects.
     """
-    if packed:
-        # Pack (and verify) in the parent so the forked workers inherit
-        # the columnar buffers copy-on-write instead of re-packing the
-        # same streams once per shard.
-        for warp in warps:
-            for trace in warp:
-                trace.packed().ensure_verified()
+    # Pack (and verify) in the parent so the forked workers inherit the
+    # columnar buffers copy-on-write instead of re-packing the same
+    # streams once per shard.
+    for warp in warps:
+        for trace in warp:
+            trace.packed().ensure_verified()
     jobs = min(jobs, len(warps))
     shards = [list(range(j, len(warps), jobs)) for j in range(jobs)]
     outcome = pool_mod.fork_map(
         _replay_shard, shards, jobs,
         tokens=[f"replay:{shard[0]}" for shard in shards],
         stage_timeout=stage_timeout,
-        state=(warps, dcfgs, cfg, memo, packed, vector),
+        state=(warps, dcfgs, cfg, memo),
     )
     if outcome is None or not outcome.complete(len(shards)):
         return None
@@ -416,7 +388,6 @@ def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
                      lock_reconvergence: str = "unlock",
                      config: Optional[AnalyzerConfig] = None,
                      jobs: int = 1, memo: bool = True,
-                     packed: bool = True, vector: bool = True,
                      pool: str = "shared",
                      stage_timeout: Optional[float] = None):
     """SIMT efficiency across warp widths (the Fig. 1 sweep).
@@ -431,16 +402,15 @@ def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
         batching=batching, emulate_locks=emulate_locks,
         lock_reconvergence=lock_reconvergence,
     )
-    analyzer = ThreadFuserAnalyzer(base, jobs=jobs, memo=memo, packed=packed,
-                                   vector=vector, pool=pool,
+    analyzer = ThreadFuserAnalyzer(base, jobs=jobs, memo=memo, pool=pool,
                                    stage_timeout=stage_timeout)
     dcfgs = analyzer.prepare(traces)
     out = {}
     for warp_size in warp_sizes:
         sized = dataclasses.replace(base, warp_size=warp_size)
         out[warp_size] = ThreadFuserAnalyzer(
-            sized, jobs=jobs, memo=memo, packed=packed, vector=vector,
-            pool=pool, stage_timeout=stage_timeout,
+            sized, jobs=jobs, memo=memo, pool=pool,
+            stage_timeout=stage_timeout,
         ).analyze(traces, dcfgs=dcfgs)
     return out
 
@@ -450,7 +420,6 @@ def analyze_traces(traces: TraceSet, warp_size: int = 32,
                    emulate_locks: bool = False,
                    lock_reconvergence: str = "unlock",
                    jobs: int = 1, memo: bool = True,
-                   packed: bool = True, vector: bool = True,
                    pool: str = "shared",
                    stage_timeout: Optional[float] = None) -> AnalysisReport:
     """One-call convenience wrapper around :class:`ThreadFuserAnalyzer`."""
@@ -459,6 +428,6 @@ def analyze_traces(traces: TraceSet, warp_size: int = 32,
         lock_reconvergence=lock_reconvergence,
     )
     return ThreadFuserAnalyzer(
-        config, jobs=jobs, memo=memo, packed=packed, vector=vector,
-        pool=pool, stage_timeout=stage_timeout,
+        config, jobs=jobs, memo=memo, pool=pool,
+        stage_timeout=stage_timeout,
     ).analyze(traces)

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Set
 
-from ..tracer.events import (
-    TOK_BLOCK,
-    TOK_CALL,
-    TOK_RET,
-    ThreadTrace,
-    TraceSet,
-)
+from ..tracer.events import TraceSet
 from ..tracer.packed import KIND_B, KIND_CALL, KIND_RET
 
 #: Sentinel node: the per-function virtual exit block.
@@ -82,64 +76,16 @@ class DCFGSet:
         return iter(self.functions.values())
 
 
-class _Frame:
-    __slots__ = ("dcfg", "last")
+def _scan_thread(root: str, packed, dcfgs: DCFGSet) -> None:
+    """Add one thread's control-flow edges, read from its packed columns.
 
-    def __init__(self, dcfg: FunctionDCFG) -> None:
-        self.dcfg = dcfg
-        self.last: int = VEXIT  # VEXIT means "no block seen yet"
-        # ``last`` is overwritten on the first block; the sentinel is never
-        # used as an edge source because we guard on ``seen``.
-
-
-def _scan_thread(trace: ThreadTrace, dcfgs: DCFGSet) -> None:
-    packed = trace.packed_only()
-    if packed is not None:
-        # Loaded traces are still columnar; scan the packed columns
-        # directly rather than materializing token tuples just to read
-        # their kinds and addresses.
-        _scan_packed_thread(trace.root, packed, dcfgs)
-        return
-    stack = [_Frame(dcfgs.get(trace.root))]
-    seen_block = [False]
-    for token in trace.tokens:
-        kind = token[0]
-        if kind == TOK_BLOCK:
-            frame = stack[-1]
-            addr = token[1]
-            if seen_block[-1]:
-                frame.dcfg.add_edge(frame.last, addr)
-            else:
-                frame.dcfg.entries.add(addr)
-                frame.dcfg.succs.setdefault(addr, set())
-                frame.dcfg.preds.setdefault(addr, set())
-                seen_block[-1] = True
-            frame.last = addr
-        elif kind == TOK_CALL:
-            stack.append(_Frame(dcfgs.get(token[1])))
-            seen_block.append(False)
-        elif kind == TOK_RET:
-            frame = stack.pop()
-            if seen_block.pop():
-                frame.dcfg.add_edge(frame.last, VEXIT)
-        # LOCK/UNLOCK tokens carry no control-flow information.
-    # A thread that ended inside open frames (HALT / truncation) still
-    # pins each open frame's last block to the virtual exit so IPDOM stays
-    # well-defined.
-    while stack:
-        frame = stack.pop()
-        had_block = seen_block.pop()
-        if had_block:
-            frame.dcfg.add_edge(frame.last, VEXIT)
-
-
-def _scan_packed_thread(root: str, packed, dcfgs: DCFGSet) -> None:
-    """:func:`_scan_thread` over packed columns (same edges, same order).
-
-    The frame state lives in locals and edges already present are
-    skipped with one membership probe (``add_edge`` is idempotent, so
-    the graphs are identical) -- loop bodies and threads sharing control
-    flow cost two hash lookups per block instead of five dict writes.
+    Each call frame links its consecutive blocks; a frame's first block
+    becomes an entry of its function, and its last block (at RET, or at
+    stream end for a thread that halted inside open frames) links to the
+    virtual exit.  The frame state lives in locals and edges already
+    present are skipped with one membership probe (``add_edge`` is
+    idempotent) -- loop bodies and threads sharing control flow cost two
+    hash lookups per block instead of five dict writes.
     """
     stack: list = []
     names = packed.names
@@ -179,23 +125,18 @@ def _scan_packed_thread(root: str, packed, dcfgs: DCFGSet) -> None:
         dcfg, succs, seen, last = stack.pop()
 
 
-def build_dcfgs(traces: TraceSet, dedupe: bool = False) -> DCFGSet:
+def build_dcfgs(traces: TraceSet) -> DCFGSet:
     """Build merged per-function DCFGs from all logical-thread traces.
 
-    ``dedupe=True`` (used by the packed engine) skips re-scanning
-    threads whose control-flow columns -- root, names, kinds, arg --
-    exactly match an already-scanned thread's: a duplicate scan adds no
-    edges and no entries, so skipping it leaves every graph
-    bit-identical while SPMD-style workloads collapse from ``n_threads``
-    scans to one per distinct control flow.  Candidates are bucketed by
-    ``(root, n_tokens)`` and confirmed with C-speed array equality,
-    which exits on the first differing token.
+    Threads whose control-flow columns -- root, names, kinds, arg --
+    exactly match an already-scanned thread's are not re-scanned: a
+    duplicate scan adds no edges and no entries, so skipping it leaves
+    every graph bit-identical while SPMD-style workloads collapse from
+    ``n_threads`` scans to one per distinct control flow.  Candidates
+    are bucketed by ``(root, n_tokens)`` and confirmed with C-speed
+    array equality, which exits on the first differing token.
     """
     dcfgs = DCFGSet()
-    if not dedupe:
-        for trace in traces:
-            _scan_thread(trace, dcfgs)
-        return dcfgs
     buckets: Dict[tuple, list] = {}
     for trace in traces:
         packed = trace.packed()
@@ -210,5 +151,5 @@ def build_dcfgs(traces: TraceSet, dedupe: bool = False) -> DCFGSet:
                    for seen in bucket):
                 continue
             bucket.append(packed)
-        _scan_packed_thread(trace.root, packed, dcfgs)
+        _scan_thread(trace.root, packed, dcfgs)
     return dcfgs

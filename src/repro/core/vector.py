@@ -1,7 +1,7 @@
-"""Bulk column operations behind the vectorized replay path.
+"""Bulk column operations behind the replayer's bulk-span steps.
 
-:class:`~repro.core.replay.VectorWarpReplayer` consumes whole converged
-spans of packed columns at once; the arithmetic it needs -- "first index
+:class:`~repro.core.replay.WarpReplayer` consumes whole converged spans
+of packed columns at once; the arithmetic it needs -- "first index
 of a value in a column slice", "32-byte transaction counts for a span of
 aligned memory records across lanes", "segment totals for one lane's
 record span" -- lives here, implemented twice:

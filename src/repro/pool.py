@@ -452,9 +452,8 @@ def _worker_main(conn) -> None:
 def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
     """Pool-resident task: replay one shard of warps from an arena.
 
-    ``payload``: ``(arena_name, state_key, cfg, entries, memo,
-    vector)`` where ``entries`` is ``[(warp_index,
-    [thread_index, ...]), ...]``.  Returns ``(results, memo_lookups,
+    ``payload``: ``(arena_name, state_key, cfg, entries, memo)``
+    where ``entries`` is ``[(warp_index, [thread_index, ...]), ...]``.  Returns ``(results, memo_lookups,
     memo_hits, vector_tokens, total_tokens)`` with results as
     ``(warp_index, WarpMetrics, n_threads)``; the trailing token pair
     feeds the parent's ``replay.vector_*`` gauges.
@@ -471,7 +470,7 @@ def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
     ctx = _WORKER_CTX
     if ctx is None:
         raise RuntimeError("replay shard dispatched outside a pool worker")
-    arena_name, state_key, cfg, entries, memo, vector = payload
+    arena_name, state_key, cfg, entries, memo = payload
     faults.check("pool.worker",
                  f"replay:{entries[0][0] if entries else '-'}")
     entry = ctx.arenas.get(arena_name)
@@ -507,16 +506,14 @@ def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
                 hits += 1
                 out.append((warp_index, cached.clone(), len(warp)))
                 continue
-            metrics = _replay_warp(warp, dcfgs, cfg, packed=True,
-                                   vector=vector, stats=vstats)
+            metrics = _replay_warp(warp, dcfgs, cfg, stats=vstats)
             if len(ctx.memo) >= MEMO_CAP:
                 ctx.memo.clear()
             ctx.memo[key] = metrics
             out.append((warp_index, metrics, len(warp)))
         else:
             out.append((warp_index,
-                        _replay_warp(warp, dcfgs, cfg, packed=True,
-                                     vector=vector, stats=vstats),
+                        _replay_warp(warp, dcfgs, cfg, stats=vstats),
                         len(warp)))
     return out, lookups, hits, vstats[0], vstats[1]
 
@@ -1045,7 +1042,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
-                        memo: bool = True, vector: bool = True,
+                        memo: bool = True,
                         stage_timeout: Optional[float] = None,
                         obs=None) -> Optional[tuple]:
     """Replay ``warps`` on the persistent pool via a shared-memory arena.
@@ -1069,7 +1066,7 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
                    for index in range(j, len(warps), jobs)]
                   for j in range(jobs)]
         tasks = [(_shm_replay_shard,
-                  (arena.name, token, cfg, shard, memo, vector),
+                  (arena.name, token, cfg, shard, memo),
                   f"replay:{shard[0][0]}")
                  for shard in shards]
         outcomes = pool.run_tasks(tasks, jobs=jobs,

@@ -678,7 +678,6 @@ class AnalysisServer:
             "jobs": session.jobs,
             "engine": session.engine,
             "memo": session.memo,
-            "vector": session.vector,
             "pool": session.pool,
             "stage_timeout": session.stage_timeout,
         }
@@ -1037,7 +1036,6 @@ class AnalysisServer:
                 "jobs": self._session.jobs,
                 "pool": self._session.pool,
                 "memo": self._session.memo,
-                "vector": self._session.vector,
                 "executions": self._session.executions,
                 "cached": self._session.store is not None,
                 "indexed": self._session.store is not None,
@@ -1362,7 +1360,7 @@ class AnalysisServer:
                                   "'workload'",
                              kind="BadRequest",
                              hint="e.g. /v1/index/history?metric="
-                                  "geomean_vector_speedup or "
+                                  "workloads.pigz.vector_token_fraction or "
                                   "/v1/index/history?workload=pigz")
         label = params.get("label")
         max_regression: Optional[float] = None

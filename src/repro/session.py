@@ -126,7 +126,7 @@ class AnalysisSession:
                  recorder=None, engine: Optional[str] = None,
                  retry: Optional[faults.RetryPolicy] = None,
                  stage_timeout: Optional[float] = None,
-                 memo: bool = True, vector: bool = True,
+                 memo: bool = True,
                  pool: str = "shared") -> None:
         if pool not in ("shared", "fork"):
             raise ValueError(
@@ -141,10 +141,6 @@ class AnalysisSession:
         #: execution knob like ``jobs``: results are bit-identical either
         #: way, so it never enters artifact fingerprints.
         self.memo = bool(memo)
-        #: Vectorized bulk-span replay (``--no-vector`` on the CLI).
-        #: Same contract: an execution knob, bit-identical either way,
-        #: excluded from artifact fingerprints.
-        self.vector = bool(vector)
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.retry = retry or faults.RetryPolicy()
         self.stage_timeout = stage_timeout
@@ -664,8 +660,7 @@ class AnalysisSession:
         """
         analyzer = ThreadFuserAnalyzer(
             config, jobs=self.jobs if jobs is None else jobs,
-            recorder=self.obs, memo=self.memo, vector=self.vector,
-            pool=self.pool,
+            recorder=self.obs, memo=self.memo, pool=self.pool,
             stage_timeout=self.stage_timeout,
         )
         with self.obs.span("replay"):

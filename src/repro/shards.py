@@ -219,8 +219,8 @@ class ShardPool:
     config:
         :class:`~repro.session.AnalysisSession` keyword arguments for
         each shard's private session (``cache_dir`` pointing at the
-        shared store, ``jobs``, ``engine``, ``memo``, ``vector``,
-        ``pool``, ``stage_timeout``).
+        shared store, ``jobs``, ``engine``, ``memo``, ``pool``,
+        ``stage_timeout``).
     cell_timeout:
         Optional per-cell wall-clock bound (seconds).  A cell past it
         has its shard killed and counts as a crash attempt, so a hung

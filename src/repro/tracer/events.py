@@ -104,14 +104,6 @@ class ThreadTrace:
         self._tokens = None
         self._ncache = None
 
-    def packed_only(self):
-        """The packed form if tuples were never materialized, else None.
-
-        Lets columnar-native consumers (the DCFG scan) skip tuple
-        round-trips for traces that came off disk already packed.
-        """
-        return self._packed if self._tokens is None else None
-
     @property
     def signature(self) -> str:
         """sha256 content signature of the packed token columns."""

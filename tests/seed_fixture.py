@@ -4,6 +4,11 @@
 the original tuple-token replayer produced (serial, no memo) for a
 fixed grid of cells.  That replayer is gone; the document is the
 reference every surviving replay path must reproduce bit for bit.
+Its header records the commit the reports came from and the command
+that wrote them.  The generator, ``tools/freeze_seed_reports.py``,
+needed the deleted replayer and was deleted with it; ``git log
+--diff-filter=D -- tools/freeze_seed_reports.py`` finds it.  Nothing
+here rewrites the fixture.
 
 A report's canonical form is a JSON document holding every
 :class:`~repro.core.metrics.AggregateMetrics` field plus the report's

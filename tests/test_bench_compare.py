@@ -6,7 +6,8 @@ Exercises the three contracts CI leans on:
   ``_ips``/``speedup``/``hit_rate`` higher-is-better, everything else
   reported but never fatal;
 * exit codes -- 0 clean, 1 when a directional metric regresses beyond
-  ``--max-regression``, 2 for missing/unreadable/malformed input;
+  ``--max-regression``, 2 for missing/unreadable/malformed input or an
+  ``--only`` filter that matches nothing both files share;
 * tolerance of schema drift -- keys present in only one file are
   reported, never fatal;
 * metric scoping -- ``--only SUBSTR`` restricts the gate to matching
@@ -207,8 +208,26 @@ class TestOnlyFilter:
         if not os.path.exists(bench):
             pytest.skip("BENCH_replay.json not generated yet")
         assert bench_compare.main(
-            [bench, bench, "--only", "speedup"]) == 0
+            [bench, bench, "--only", "vector_token_fraction",
+             "--only", "memo_hit_rate", "--max-regression", "0"]) == 0
         capsys.readouterr()
+
+    def test_filter_matching_nothing_exits_two(self, tmp_path, capsys):
+        path = _write(tmp_path, "a.json", {"run_s": 1.0, "speedup": 2.0})
+        assert bench_compare.main(
+            [path, path, "--only", "no_such_metric"]) == 2
+        captured = capsys.readouterr()
+        assert "matches no metric" in captured.err
+        assert "no differences" not in captured.out
+
+    def test_filter_matching_one_side_only_exits_two(self, tmp_path,
+                                                      capsys):
+        # A metric the current file dropped is not a clean gate either.
+        base = _write(tmp_path, "base.json", {"geomean_speedup": 2.0})
+        cur = _write(tmp_path, "cur.json", {"ips": 10.0})
+        assert bench_compare.main(
+            [base, cur, "--only", "geomean"]) == 2
+        assert "matches no metric" in capsys.readouterr().err
 
 
 class TestListMetrics:

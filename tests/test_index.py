@@ -543,13 +543,14 @@ class TestBenchTrajectory:
 class TestCommittedBenchFiles:
     REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    def test_history_reproduces_the_committed_geomean(self, store):
+    def test_history_reproduces_the_committed_metric(self, store):
         bench = os.path.join(self.REPO, "BENCH_replay.json")
         index = store.index
         index.ingest_bench(bench)
-        points = index.history("geomean_vector_speedup")
+        points = index.history("workloads.pigz.vector_token_fraction")
         with open(bench) as fh:
-            expected = json.load(fh)["geomean_vector_speedup"]
+            expected = json.load(fh)["workloads"]["pigz"][
+                "vector_token_fraction"]
         assert [p["value"] for p in points] == [expected]
 
     def test_flattening_matches_bench_compare(self):

@@ -1,15 +1,12 @@
-"""Replay execution knobs are observationally invisible.
+"""Warp-replay memoization is observationally invisible.
 
-The three replay execution knobs -- ``packed`` (columnar replay),
-``vector`` (bulk converged-span consumption over packed columns), and
-``memo`` (signature-keyed warp-metrics reuse) -- must never change a
-single observable: for one workload per catalog family, every (mode,
-memo, jobs) combination, traced under both execution engines, has to
-produce a byte-identical pickled report and identical telemetry
-*counters* (gauges are excluded by design: ``memo.*`` hit rates
-legitimately differ between serial and sharded replay, and the
-``replay.vector_*`` utilization fractions vary with sharding too,
-which is exactly why they are gauges).
+For one workload per catalog family, traced under both execution
+engines, every (memo, jobs) combination must reproduce the frozen seed
+report (``tests/fixtures/seed_reports.json``, see :mod:`seed_fixture`)
+bit for bit, and identical telemetry *counters* (gauges are excluded by
+design: ``memo.*`` hit rates legitimately differ between serial and
+sharded replay, and the ``replay.vector_*`` utilization fractions vary
+with sharding too, which is exactly why they are gauges).
 
 The synthetic replicated-lane tests then pin down the memo mechanics
 themselves: identical warps actually hit, hits clone rather than
@@ -29,87 +26,57 @@ from repro.tracegen import generate_kernel_trace, save_kernel_trace
 from repro.tracer.events import TraceSet
 from repro.workloads import get_workload, trace_instance
 
-#: One representative workload per catalog family (Table 1 suites).
-FAMILY_WORKLOADS = [
-    "vectoradd",       # Micro Benchmark
-    "streamcluster",   # Rodinia 3.1
-    "blackscholes",    # ParSec 3.0
-    "dsb_uniqueid",    # DeathStarBench
-    "memcached",       # uSuite (emulate_locks coverage)
-    "nbody",           # Paropoly
-    "md5",             # Others
-]
+from seed_fixture import (
+    ENGINES,
+    FAMILY_THREADS as N_THREADS,
+    FAMILY_WIDTH as WARP_SIZE,
+    FAMILY_WORKLOADS,
+    canonical,
+    dumps,
+    expected,
+    family_cell,
+    family_config,
+    traces_of,
+)
 
-N_THREADS = 48
-WARP_SIZE = 16
-
-#: Replay mode -> (packed, vector) analyzer knobs.
-MODES = {
-    "tuple": (False, False),
-    "packed": (True, False),
-    "vector": (True, True),
-}
-
-ENGINES = ("compiled", "interp")
-
-COMBOS = [
-    (mode, memo, jobs)
-    for mode in MODES
-    for memo in (True, False)
-    for jobs in (1, 2)
-]
+COMBOS = [(memo, jobs) for memo in (True, False) for jobs in (1, 2)]
 
 
-@functools.lru_cache(maxsize=None)
 def _traces(name, engine="compiled"):
-    traces, _ = trace_instance(get_workload(name).instantiate(N_THREADS),
-                               engine=engine)
-    return traces
+    return traces_of(name, N_THREADS, engine)
 
 
-def _config(name):
-    return AnalyzerConfig(warp_size=WARP_SIZE,
-                          emulate_locks=(name == "memcached"))
-
-
-def _run(name, mode, memo, jobs, engine="compiled"):
-    packed, vector = MODES[mode]
+def _run(name, memo, jobs, engine="compiled"):
     recorder = Recorder()
-    analyzer = ThreadFuserAnalyzer(_config(name), jobs=jobs,
-                                   recorder=recorder, memo=memo,
-                                   packed=packed, vector=vector)
+    analyzer = ThreadFuserAnalyzer(family_config(name), jobs=jobs,
+                                   recorder=recorder, memo=memo)
     report = analyzer.analyze(_traces(name, engine))
     telemetry = recorder.telemetry()
-    return pickle.dumps(report), dict(telemetry.counters), telemetry.gauges
+    return report, dict(telemetry.counters), telemetry.gauges
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(name, engine):
-    """The seed observables: tuple replay, no memo, serial."""
-    report, counters, _ = _run(name, "tuple", memo=False, jobs=1,
-                               engine=engine)
-    return report, counters
+def _reference_counters(name, engine):
+    """The counters of the serial, memo-free replay."""
+    return _run(name, memo=False, jobs=1, engine=engine)[1]
 
 
 class TestMemoParityMatrix:
-    @pytest.mark.parametrize("mode,memo,jobs", COMBOS,
-                             ids=[f"{mode}-"
-                                  f"{'memo' if m else 'nomemo'}-jobs{j}"
-                                  for mode, m, j in COMBOS])
+    @pytest.mark.parametrize("memo,jobs", COMBOS,
+                             ids=[f"{'memo' if m else 'nomemo'}-jobs{j}"
+                                  for m, j in COMBOS])
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", FAMILY_WORKLOADS)
-    def test_reports_and_counters_identical(self, name, engine, mode,
-                                            memo, jobs):
-        reference, ref_counters = _reference(name, engine)
-        report, counters, gauges = _run(name, mode, memo, jobs,
-                                        engine=engine)
-        assert report == reference
-        assert counters == ref_counters
+    def test_reports_and_counters_identical(self, name, engine, memo,
+                                            jobs):
+        report, counters, gauges = _run(name, memo, jobs, engine=engine)
+        assert dumps(canonical(report)) == expected(
+            family_cell(name, engine))
+        assert counters == _reference_counters(name, engine)
         if memo and jobs == 1:
             # Memoization accounts its activity as gauges, never
             # counters; lookups equal the number of replayed warps.
-            assert gauges["memo.warp_lookups"] == pickle.loads(
-                report).metrics.n_warps
+            assert gauges["memo.warp_lookups"] == report.metrics.n_warps
             assert "memo.warp_hits" in gauges
         if not memo:
             assert "memo.warp_lookups" not in gauges

@@ -94,15 +94,15 @@ class TestPackedNativeLoading:
 
     :func:`load_traces` attaches a :class:`PackedTrace` per thread
     without materializing token tuples; the whole analysis pipeline
-    (DCFG scan, warp formation, packed replay, memo signatures) must
-    run without ever flipping a thread out of packed-only mode.
+    (DCFG scan, warp formation, replay, memo signatures) must run
+    without ever materializing a thread's token tuples.
     """
 
     def test_loaded_traces_are_packed_only(self):
         _instance, traces = _trace("vectoradd")
         loaded = _round_trip(traces)
         for thread in loaded.threads:
-            assert thread.packed_only() is not None
+            assert thread._tokens is None
             assert thread.n_tokens == len(thread.tokens)
 
     def test_analysis_never_materializes_tuples(self):
@@ -110,7 +110,7 @@ class TestPackedNativeLoading:
         loaded = _round_trip(traces)
         analyze_traces(loaded, warp_size=8)
         for thread in loaded.threads:
-            assert thread.packed_only() is not None, thread.index
+            assert thread._tokens is None, thread.index
 
     def test_signatures_survive_the_round_trip(self):
         _instance, traces = _trace("memcached")
@@ -125,7 +125,7 @@ class TestPackedNativeLoading:
         loaded = _round_trip(traces)
         assert serialize_traces(loaded) == serialize_traces(traces)
         for thread in loaded.threads:
-            assert thread.packed_only() is not None
+            assert thread._tokens is None
 
 
 class TestSerializationDeterminism:

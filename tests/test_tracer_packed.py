@@ -233,12 +233,13 @@ class TestThreadTraceCaching:
         packed = PackedTrace.from_tokens(SAMPLE_TOKENS)
         trace = ThreadTrace(0, 100, "worker")
         trace.attach_packed(packed)
-        assert trace.packed_only() is packed
+        assert trace.packed() is packed
         assert trace.n_tokens == packed.n_tokens
         assert trace.n_instructions == packed.total_instructions
-        # Materializing tuples flips it out of packed-only mode.
+        assert trace._tokens is None
+        # Tuples materialize only on demand, and the columns stay.
         assert trace.tokens == SAMPLE_TOKENS
-        assert trace.packed_only() is None
+        assert trace.packed() is packed
 
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -1,7 +1,7 @@
 """The vector backend shim: selection, fallback, parity, telemetry.
 
-:mod:`repro.core.vector` hosts the bulk column primitives behind
-:class:`~repro.core.replay.VectorWarpReplayer` twice -- a pure
+:mod:`repro.core.vector` hosts the bulk column primitives behind the
+bulk-span steps of :class:`~repro.core.replay.WarpReplayer` twice -- a pure
 ``array``-slicing reference and an optional numpy accelerator -- and
 promises the choice is observationally invisible.  These tests pin that
 promise down at every layer: the primitives agree element-for-element
@@ -9,8 +9,8 @@ on randomized columns, ``use_backend`` forces and restores the pure
 path, a monkeypatched ``import numpy`` failure degrades to the
 ``array`` backend with bit-identical reports (the ``accel`` extra is
 genuinely optional), the ``replay.vector_*`` gauges surface utilization
-without ever touching counters, and the vectorized replayer raises the
-exact same :class:`~repro.core.ReplayError` as the packed oracle on
+without ever touching counters, and the bulk-span steps raise the
+exact same :class:`~repro.core.ReplayError` as per-block stepping on
 corrupt streams.
 """
 
@@ -25,10 +25,9 @@ import pytest
 
 from repro.core import (
     AnalyzerConfig,
-    PackedWarpReplayer,
     ReplayError,
     ThreadFuserAnalyzer,
-    VectorWarpReplayer,
+    WarpReplayer,
     build_dcfgs,
     compute_all_ipdoms,
 )
@@ -54,11 +53,10 @@ def _traces():
     return traces
 
 
-def _analyze(vector_knob=True, recorder=None, jobs=1):
+def _analyze(recorder=None, jobs=1):
     analyzer = ThreadFuserAnalyzer(AnalyzerConfig(warp_size=WARP_SIZE),
                                    jobs=jobs, recorder=recorder,
-                                   memo=False, packed=True,
-                                   vector=vector_knob)
+                                   memo=False)
     return analyzer.analyze(_traces())
 
 
@@ -230,23 +228,35 @@ def _prepared(traces):
     return dcfgs
 
 
+class _NullVisitor:
+    """Attaching any visitor makes the replayer step block by block."""
+
+    def on_issue(self, *args):
+        pass
+
+    def on_mem_issue(self, *args):
+        pass
+
+
 class TestVectorReplayer:
     def test_converged_stream_is_consumed_entirely_in_bulk(self):
         traces = _converged_traces()
         dcfgs = _prepared(traces)
-        vec = VectorWarpReplayer(traces.threads, dcfgs, 8)
-        vec.run()
-        assert vec.total_tokens > 0
-        assert vec.vector_tokens == vec.total_tokens
-        packed = PackedWarpReplayer(traces.threads, dcfgs, 8)
-        packed.run()
-        assert pickle.dumps(vec.metrics) == pickle.dumps(packed.metrics)
+        bulk = WarpReplayer(traces.threads, dcfgs, 8)
+        bulk.run()
+        assert bulk.total_tokens > 0
+        assert bulk.vector_tokens == bulk.total_tokens
+        stepped = WarpReplayer(traces.threads, dcfgs, 8,
+                               visitor=_NullVisitor())
+        stepped.run()
+        assert stepped.vector_tokens == 0
+        assert pickle.dumps(bulk.metrics) == pickle.dumps(stepped.metrics)
 
     def test_misaligned_records_raise_the_oracle_error(self):
         # Lanes agree on a long record-free prefix (entering the bulk
-        # path), then lane 1 misses lane 0's memory record: the vector
-        # replayer must shrink to the agreeing prefix and surface the
-        # packed oracle's exact misalignment error.
+        # path), then lane 1 misses lane 0's memory record: the bulk
+        # step must shrink to the agreeing prefix and surface per-block
+        # stepping's exact misalignment error.
         prefix = [(TOK_BLOCK, 0x100 + 8 * i, 1, ()) for i in range(12)]
         tail = [(TOK_BLOCK, 0x300, 1, ())]
         with_rec = prefix + [(TOK_BLOCK, 0x200, 1,
@@ -256,12 +266,13 @@ class TestVectorReplayer:
         traces.new_thread(0, "worker").tokens = with_rec
         traces.new_thread(1, "worker").tokens = without_rec
         dcfgs = _prepared(traces)
-        with pytest.raises(ReplayError) as packed_err:
-            PackedWarpReplayer(traces.threads, dcfgs, 2).run()
-        with pytest.raises(ReplayError) as vector_err:
-            VectorWarpReplayer(traces.threads, dcfgs, 2).run()
-        assert str(vector_err.value) == str(packed_err.value)
-        assert "misaligned" in str(packed_err.value)
+        with pytest.raises(ReplayError) as stepped_err:
+            WarpReplayer(traces.threads, dcfgs, 2,
+                         visitor=_NullVisitor()).run()
+        with pytest.raises(ReplayError) as bulk_err:
+            WarpReplayer(traces.threads, dcfgs, 2).run()
+        assert str(bulk_err.value) == str(stepped_err.value)
+        assert "misaligned" in str(stepped_err.value)
 
 
 # -- telemetry and CLI surfaces -------------------------------------------
@@ -281,13 +292,6 @@ class TestVectorTelemetry:
         assert gauges["replay.vector_backend_numpy"] == (
             1 if vector.numpy_active() else 0)
 
-    def test_no_vector_gauges_when_disabled(self):
-        recorder = Recorder()
-        _analyze(vector_knob=False, recorder=recorder)
-        gauges = recorder.telemetry().gauges
-        assert not any(name.startswith("replay.vector")
-                       for name in gauges)
-
     def test_sharded_replay_aggregates_the_gauges(self):
         recorder = Recorder()
         _analyze(recorder=recorder, jobs=2)
@@ -298,14 +302,6 @@ class TestVectorTelemetry:
 
 
 class TestCLISurface:
-    def test_analyze_accepts_no_vector(self, capsys):
-        from repro.cli import main
-
-        rc = main(["analyze", "vectoradd", "--threads", "16",
-                   "--warp-size", "8", "--no-vector"])
-        assert rc == 0
-        assert "SIMT efficiency" in capsys.readouterr().out
-
     def test_pool_info_reports_the_vector_backend(self, capsys):
         from repro.cli import main
 

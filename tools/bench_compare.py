@@ -19,8 +19,10 @@ Usage::
 
 ``--only SUBSTR`` (repeatable) restricts the comparison to flattened
 keys containing any given substring.  CI uses it to gate on
-machine-independent ratio metrics (``--only speedup``) while ignoring
-absolute wall-clock numbers measured on different hardware.
+machine-independent metrics (``--only vector_token_fraction``,
+``--only speedup``) while ignoring absolute wall-clock numbers measured
+on different hardware.  A filter that leaves no key present in both
+files is an error, never a vacuous pass.
 
 Exit-code contract (stable for scripting/CI):
 
@@ -29,8 +31,9 @@ Exit-code contract (stable for scripting/CI):
   ``--list-metrics`` success path;
 * **1** -- the comparison ran and at least one directional metric
   regressed beyond the threshold;
-* **2** -- an input file is missing, unreadable, or malformed JSON
-  (reported on stderr; distinct from "regression found").
+* **2** -- an input file is missing, unreadable, or malformed JSON,
+  or ``--only`` matched no key present in both files (reported on
+  stderr; distinct from "regression found").
 
 Keys present in only one file are reported but never fatal, so
 workloads can be added or retired without breaking the comparison.
@@ -140,7 +143,8 @@ def main(argv=None):
         description="Diff two BENCH_*.json files; fail on regressions.",
         epilog="Exit codes: 0 no regression (or --list-metrics ok); "
                "1 a directional metric regressed beyond --max-regression; "
-               "2 missing/unreadable/malformed input.")
+               "2 missing/unreadable/malformed input, or --only "
+               "matched no metric present in both files.")
     parser.add_argument("baseline", nargs="?", default=None,
                         help="baseline BENCH_*.json")
     parser.add_argument("current", nargs="?", default=None,
@@ -177,6 +181,10 @@ def main(argv=None):
         return 2
     baseline = restrict(baseline, args.only)
     current = restrict(current, args.only)
+    if args.only and not set(baseline) & set(current):
+        print(f"error: --only {' '.join(args.only)} matches no metric "
+              "present in both files", file=sys.stderr)
+        return 2
 
     lines, regressions = compare(baseline, current, args.max_regression)
     if not args.quiet:

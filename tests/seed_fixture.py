@@ -77,9 +77,13 @@ def grid_names() -> List[str]:
     return sorted(w.name for w in all_workloads())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def traces_of(name: str, n_threads: int, engine: str = ""):
-    """Trace ``name`` once per (threads, engine); "" is the default."""
+    """Trace ``name`` per (threads, engine); "" is the default engine.
+
+    The cache is bounded so a whole-catalog sweep does not keep every
+    trace set alive for the rest of the test session.
+    """
     overrides = {"engine": engine} if engine else {}
     traces, _ = trace_instance(get_workload(name).instantiate(n_threads),
                                **overrides)

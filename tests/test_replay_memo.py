@@ -3,7 +3,10 @@
 For one workload per catalog family, traced under both execution
 engines, every (memo, jobs) combination must reproduce the frozen seed
 report (``tests/fixtures/seed_reports.json``, see :mod:`seed_fixture`)
-bit for bit, and identical telemetry *counters* (gauges are excluded by
+bit for bit, and identical telemetry *counters* -- both on the shared
+traced set and on a ``tuple`` copy whose threads hold only tuple token
+lists, so the replayer packs every lane from the recorder's
+representation itself (gauges are excluded by
 design: ``memo.*`` hit rates legitimately differ between serial and
 sharded replay, and the ``replay.vector_*`` utilization fractions vary
 with sharding too, which is exactly why they are gauges).
@@ -39,18 +42,40 @@ from seed_fixture import (
     traces_of,
 )
 
-COMBOS = [(memo, jobs) for memo in (True, False) for jobs in (1, 2)]
+#: Token representation handed to the analyzer: the shared traced set,
+#: or a ``tuple`` copy with no packed columns cached.
+TOKENS = ("traced", "tuple")
+
+COMBOS = [(tokens, memo, jobs) for tokens in TOKENS
+          for memo in (True, False) for jobs in (1, 2)]
 
 
 def _traces(name, engine="compiled"):
     return traces_of(name, N_THREADS, engine)
 
 
-def _run(name, memo, jobs, engine="compiled"):
+def _tuple_traces(name, engine):
+    """A fresh copy of the traced set holding only tuple token lists."""
+    source = _traces(name, engine)
+    copy = TraceSet(workload=source.workload, program=source.program)
+    copy.untraced_skipped = dict(source.untraced_skipped)
+    for thread in source:
+        clone = copy.new_thread(thread.cpu_tid, thread.root)
+        clone.tokens = list(thread.tokens)
+        clone.skipped = dict(thread.skipped)
+        clone.closed = thread.closed
+    return copy
+
+
+def _run(name, memo, jobs, engine="compiled", tokens="traced"):
     recorder = Recorder()
     analyzer = ThreadFuserAnalyzer(family_config(name), jobs=jobs,
                                    recorder=recorder, memo=memo)
-    report = analyzer.analyze(_traces(name, engine))
+    if tokens == "tuple":
+        traces = _tuple_traces(name, engine)
+    else:
+        traces = _traces(name, engine)
+    report = analyzer.analyze(traces)
     telemetry = recorder.telemetry()
     return report, dict(telemetry.counters), telemetry.gauges
 
@@ -62,14 +87,16 @@ def _reference_counters(name, engine):
 
 
 class TestMemoParityMatrix:
-    @pytest.mark.parametrize("memo,jobs", COMBOS,
-                             ids=[f"{'memo' if m else 'nomemo'}-jobs{j}"
-                                  for m, j in COMBOS])
+    @pytest.mark.parametrize("tokens,memo,jobs", COMBOS,
+                             ids=[("tuple-" if t == "tuple" else "")
+                                  + f"{'memo' if m else 'nomemo'}-jobs{j}"
+                                  for t, m, j in COMBOS])
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", FAMILY_WORKLOADS)
-    def test_reports_and_counters_identical(self, name, engine, memo,
-                                            jobs):
-        report, counters, gauges = _run(name, memo, jobs, engine=engine)
+    def test_reports_and_counters_identical(self, name, engine, tokens,
+                                            memo, jobs):
+        report, counters, gauges = _run(name, memo, jobs, engine=engine,
+                                        tokens=tokens)
         assert dumps(canonical(report)) == expected(
             family_cell(name, engine))
         assert counters == _reference_counters(name, engine)

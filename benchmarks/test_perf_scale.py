@@ -1,25 +1,21 @@
-"""Parallel-substrate scaling: persistent shared-memory pool vs fork.
+"""Parallel-substrate scaling: persistent shared-memory pool vs serial.
 
 Measures warm-call replay wall clock at paper-scale thread counts
 (512-4096 logical threads, vs the 64-96 of the other benchmarks) for
-``jobs`` 1/2/4/8 on both parallel substrates:
-
-* ``pool="fork"``: the per-call fork pool -- a fresh
-  ``ProcessPoolExecutor`` per ``analyze()``, traces inherited
-  copy-on-write, per-warp metrics pickled back;
-* ``pool="shared"`` (the default): the persistent :mod:`repro.pool`
-  workers -- spawned once, traces attached zero-copy from a
-  shared-memory column arena, worker-resident signature-keyed memo
-  reused across calls.
+``jobs`` 1/2/4/8 on the persistent :mod:`repro.pool` workers --
+spawned once, traces attached zero-copy from a shared-memory column
+arena, worker-resident signature-keyed memo reused across calls --
+against the in-process serial analyzer (``jobs=1``), the path every
+``jobs>1`` run falls back to.
 
 The workload is synthetic SPMD at scale: every thread replays the
 vectoradd kernel's token stream with thread-private memory addresses,
 so lane signatures are unique (no intra-call memo shortcut -- each
 warp really replays) while repeated calls see identical content (the
 cross-call amortization the persistent substrate exists for).  The
-"warm call" protocol matches the serving-loop shape from ROADMAP item
-2: the first call pays spawn+attach, then repeated analyze() calls
-over the same traces are timed.
+"warm call" protocol matches the serving-loop shape: the first call
+pays spawn+attach, then repeated analyze() calls over the same traces
+are timed.
 
 Results go to ``benchmarks/results/perf_scale.txt`` and the
 machine-readable ``BENCH_scale.json`` at the repo root (gated by
@@ -29,8 +25,8 @@ Two modes:
 
 * full (default): the complete thread-count x jobs grid, best-of-2;
   asserts the acceptance target -- >= 1.3x warm-call speedup over the
-  fork pool at jobs=4 for every 512+ thread count -- plus
-  bit-identical reports across serial/fork/shared and zero leaked
+  serial analyzer at jobs=4 for every 512+ thread count -- plus
+  bit-identical reports across serial/shared and zero leaked
   shared-memory segments.
 * smoke (``THREADFUSER_PERF_SMOKE=1``): 128 threads, jobs=2, one
   round, a generous floor -- a CI canary, not a measurement.
@@ -55,8 +51,8 @@ JOBS = [2] if SMOKE else [1, 2, 4, 8]
 WARP_SIZE = 32
 ROUNDS = 1 if SMOKE else 2
 
-#: Full-mode acceptance (ISSUE 6): warm shared-pool calls at jobs=4
-#: must beat the per-call fork pool by this factor on 512+ threads.
+#: Full-mode acceptance: warm shared-pool calls at jobs=4 must beat the
+#: serial analyzer by this factor on 512+ threads.
 FULL_MIN_WARM_SPEEDUP = 1.3
 
 #: Smoke floor: the shared substrate must not be drastically slower.
@@ -113,11 +109,7 @@ def _measure(n_threads):
 
     cells = {}
     for jobs in JOBS:
-        fork = ThreadFuserAnalyzer(cfg, jobs=jobs, pool="fork")
-        fork_s, fork_report = _timed_calls(fork, traces, dcfgs, ROUNDS)
-        assert _canonical(fork_report) == reference, (n_threads, jobs)
-
-        shared = ThreadFuserAnalyzer(cfg, jobs=jobs, pool="shared")
+        shared = ThreadFuserAnalyzer(cfg, jobs=jobs)
         # Warm-up call: pays worker spawn (first time only), arena
         # build+attach, and the memo-filling replay.
         cold0 = time.perf_counter()
@@ -129,10 +121,9 @@ def _measure(n_threads):
         assert _canonical(shared_report) == reference, (n_threads, jobs)
 
         cells[jobs] = {
-            "fork_warm_s": fork_s,
             "shared_cold_s": cold_s,
             "shared_warm_s": shared_s,
-            "warm_speedup": fork_s / shared_s,
+            "warm_speedup": serial_s / shared_s,
         }
     snapshot = pool_mod.stats_snapshot()
     row = {
@@ -153,20 +144,19 @@ def test_substrate_scaling(benchmark):
     mode = "smoke" if SMOKE else "full"
     lines = [
         "Parallel-substrate scaling (persistent shared-memory pool vs "
-        f"per-call fork; {mode} mode, warp {WARP_SIZE}, "
+        f"serial; {mode} mode, warp {WARP_SIZE}, "
         f"best of {ROUNDS} warm calls)",
-        "{:>8} {:>5} {:>10} {:>10} {:>11} {:>10} {:>8}".format(
-            "threads", "jobs", "serial", "fork", "shared-cold",
-            "shared", "speedup"),
-        "{:>8} {:>5} {:>10} {:>10} {:>11} {:>10} {:>8}".format(
-            "", "", "ms", "ms", "ms", "ms", ""),
+        "{:>8} {:>5} {:>10} {:>11} {:>10} {:>8}".format(
+            "threads", "jobs", "serial", "shared-cold", "shared",
+            "speedup"),
+        "{:>8} {:>5} {:>10} {:>11} {:>10} {:>8}".format(
+            "", "", "ms", "ms", "ms", ""),
     ]
     for n_threads, row in rows.items():
         for jobs, cell in row["jobs"].items():
             lines.append(
                 f"{n_threads:>8} {jobs:>5} "
                 f"{row['serial_s'] * 1e3:>10.1f} "
-                f"{cell['fork_warm_s'] * 1e3:>10.1f} "
                 f"{cell['shared_cold_s'] * 1e3:>11.1f} "
                 f"{cell['shared_warm_s'] * 1e3:>10.1f} "
                 f"{cell['warm_speedup']:>7.2f}x"
@@ -179,8 +169,7 @@ def test_substrate_scaling(benchmark):
             "warp_size": WARP_SIZE,
             "rounds": ROUNDS,
             "unit": "seconds of warm analyze() wall clock",
-            "baseline": "per-call fork pool (pool='fork') at the same "
-                        "jobs/threads",
+            "baseline": "serial analyzer (jobs=1) at the same threads",
             "scales": {
                 str(n): {
                     "serial_s": row["serial_s"],

@@ -79,13 +79,6 @@ def _add_session_options(parser: argparse.ArgumentParser) -> None:
                         help="disable warp-replay memoization (results are "
                              "bit-identical either way, see "
                              "docs/PERFORMANCE.md)")
-    parser.add_argument("--pool", default="shared",
-                        choices=("shared", "fork"),
-                        help="parallel substrate for --jobs: 'shared' "
-                             "(persistent workers + shared-memory arenas, "
-                             "the default) or 'fork' (per-call fork pool; "
-                             "bit-identical results, see "
-                             "docs/PERFORMANCE.md)")
 
 
 def _session_from_args(args) -> AnalysisSession:
@@ -97,8 +90,7 @@ def _session_from_args(args) -> AnalysisSession:
     return AnalysisSession(cache_dir=cache_dir, jobs=args.jobs,
                            recorder=recorder,
                            engine=getattr(args, "engine", None),
-                           memo=not getattr(args, "no_memo", False),
-                           pool=getattr(args, "pool", "shared"))
+                           memo=not getattr(args, "no_memo", False))
 
 
 def _finish_profile(args, session: AnalysisSession,
@@ -319,9 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="execution engine for the trace stage")
     serve.add_argument("--no-memo", action="store_true",
                        help="disable warp-replay memoization")
-    serve.add_argument("--pool", default="shared",
-                       choices=("shared", "fork"),
-                       help="parallel substrate for --jobs (default shared)")
     serve.add_argument("--shards", type=int, default=0,
                        help="session worker processes serving jobs "
                             "horizontally; sweep cells fan out across "

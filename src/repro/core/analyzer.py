@@ -24,7 +24,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import faults
 from .. import pool as pool_mod
 from ..obs import NULL_RECORDER, Telemetry
 from ..tracer.events import TraceSet
@@ -72,16 +71,13 @@ class AnalyzerConfig:
 class ThreadFuserAnalyzer:
     """Analyzes a :class:`TraceSet` into an :class:`AnalysisReport`.
 
-    ``jobs`` > 1 replays warps on that many worker processes;
-    ``jobs=1`` keeps today's in-process serial loop.  ``pool`` picks
-    the parallel substrate: ``"shared"`` (the default) replays on the
-    persistent :mod:`repro.pool` workers over a shared-memory column
-    arena -- zero pool spawns and zero trace pickling on warm calls --
-    while ``"fork"`` keeps the per-call fork pool for platforms
-    without usable shared memory.  The cascade is shared -> fork ->
-    serial; every step is bit-identical, and a run that ends serial
-    despite ``jobs>1`` reports it via the ``pool.fallback`` gauge plus
-    a one-time ``RuntimeWarning`` (never silently).
+    ``jobs`` > 1 replays warps on that many persistent
+    :mod:`repro.pool` workers over a shared-memory column arena --
+    zero pool spawns and zero trace pickling on warm calls;
+    ``jobs=1`` keeps the in-process serial loop.  The cascade is
+    shared -> serial, and both are bit-identical: a run that ends
+    serial despite ``jobs>1`` reports it via the ``pool.fallback``
+    gauge plus a one-time ``RuntimeWarning`` (never silently).
 
     ``recorder`` is an optional :class:`repro.obs.Recorder`; by default
     the shared no-op recorder is used and instrumentation costs nothing
@@ -102,17 +98,11 @@ class ThreadFuserAnalyzer:
 
     def __init__(self, config: Optional[AnalyzerConfig] = None,
                  jobs: int = 1, recorder=None, memo: bool = True,
-                 pool: str = "shared",
                  stage_timeout: Optional[float] = None) -> None:
-        if pool not in ("shared", "fork"):
-            raise ValueError(
-                f"unknown pool substrate {pool!r} (expected 'shared' or "
-                "'fork')")
         self.config = config or AnalyzerConfig()
         self.jobs = max(1, int(jobs))
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.memo = bool(memo)
-        self.pool = pool
         self.stage_timeout = stage_timeout
 
     def telemetry(self) -> Telemetry:
@@ -144,40 +134,24 @@ class ThreadFuserAnalyzer:
         with self.obs.span("form_warps"):
             warps = form_warps(traces, cfg.warp_size, cfg.batching)
         with self.obs.span("replay_warps"):
-            per_warp: Optional[List[Tuple[WarpMetrics, int]]] = None
-            memo_lookups = memo_hits = 0
-            # [vector_tokens, total_tokens] over every fresh replay
-            # (memo hits skip replays, so they contribute to neither).
-            vstats = [0, 0]
             # Visitors need their per-block callbacks, so their presence
             # forces fresh serial replays (no memo reuse) -- the generated
             # warp traces stay identical with memoization on or off.
             use_memo = self.memo and visitor_factory is None
-            wanted_parallel = (self.jobs > 1 and visitor_factory is None
-                               and len(warps) > 1)
-            if wanted_parallel:
-                outcome = None
-                if self.pool == "shared":
-                    outcome = pool_mod.replay_warps_shared(
-                        traces, warps, dcfgs, cfg, self.jobs,
-                        memo=use_memo,
-                        stage_timeout=self.stage_timeout,
-                        obs=self.obs,
-                    )
-                    if outcome is None:
-                        # Shared-memory substrate unavailable or failed
-                        # retryably; cascade to the per-call fork pool.
-                        self.obs.gauge("pool.shared_fallback", 1)
+            outcome = None
+            if (self.jobs > 1 and visitor_factory is None
+                    and len(warps) > 1):
+                outcome = pool_mod.replay_warps_shared(
+                    traces, warps, dcfgs, cfg, self.jobs,
+                    memo=use_memo,
+                    stage_timeout=self.stage_timeout,
+                    obs=self.obs,
+                )
                 if outcome is None:
-                    outcome = _replay_parallel(
-                        warps, dcfgs, cfg, self.jobs, memo=use_memo,
-                        stage_timeout=self.stage_timeout,
-                    )
-                if outcome is None:
-                    # Every substrate bowed out; the serial path below
-                    # is bit-identical to jobs=1.  Never silent: the
-                    # degradation is visible as a gauge and a one-time
-                    # warning.
+                    # The shared pool is unavailable or failed
+                    # retryably; the serial path below is bit-identical
+                    # to jobs=1.  Never silent: the degradation is
+                    # visible as gauges and a one-time warning.
                     self.obs.gauge("faults.replay_fallbacks", 1)
                     self.obs.gauge("pool.fallback", 1)
                     pool_mod.warn_once(
@@ -186,34 +160,16 @@ class ThreadFuserAnalyzer:
                         "worker pool); falling back to the bit-identical "
                         "serial path",
                     )
-                else:
-                    per_warp, memo_lookups, memo_hits, pair = outcome
-                    vstats = list(pair)
-            if per_warp is None:
-                per_warp = []
-                memo_table: Dict[tuple, WarpMetrics] = {}
-                for warp_index, warp in enumerate(warps):
-                    visitor = (
-                        visitor_factory(warp_index) if visitor_factory
-                        else None
-                    )
-                    if use_memo:
-                        key = _memo_key(warp)
-                        memo_lookups += 1
-                        cached = memo_table.get(key)
-                        if cached is not None:
-                            memo_hits += 1
-                            per_warp.append((cached.clone(), len(warp)))
-                            continue
-                        metrics = _replay_warp(warp, dcfgs, cfg, None,
-                                               stats=vstats)
-                        memo_table[key] = metrics
-                        per_warp.append((metrics, len(warp)))
-                    else:
-                        per_warp.append(
-                            (_replay_warp(warp, dcfgs, cfg, visitor,
-                                          stats=vstats), len(warp))
-                        )
+            if outcome is not None:
+                per_warp, memo_lookups, memo_hits, vstats = outcome
+            else:
+                # [vector_tokens, total_tokens] over every fresh replay
+                # (memo hits skip replays, so they contribute to neither).
+                vstats = [0, 0]
+                per_warp, memo_lookups, memo_hits = _replay_warps(
+                    warps, dcfgs, cfg, {} if use_memo else None,
+                    visitor_factory=visitor_factory, stats=vstats,
+                )
             if use_memo:
                 self.obs.gauge("memo.warp_lookups", memo_lookups)
                 self.obs.gauge("memo.warp_hits", memo_hits)
@@ -304,82 +260,49 @@ def _memo_key(warp) -> tuple:
     return (warp[0].root, tuple(trace.signature for trace in warp))
 
 
-def _replay_shard(
-        indices: List[int]
-) -> Tuple[List[Tuple[int, WarpMetrics, int]], int, int, int, int]:
-    faults.check("pool.worker", f"replay:{indices[0] if indices else '-'}")
-    warps, dcfgs, cfg, memo = pool_mod.fork_state()
-    out = []
-    memo_table: Dict[tuple, WarpMetrics] = {}
-    lookups = hits = 0
-    vstats = [0, 0]
-    for index in indices:
-        warp = warps[index]
-        if memo:
-            key = _memo_key(warp)
-            lookups += 1
-            cached = memo_table.get(key)
-            if cached is not None:
-                hits += 1
-                out.append((index, cached.clone(), len(warp)))
-                continue
-            metrics = _replay_warp(warp, dcfgs, cfg, stats=vstats)
-            memo_table[key] = metrics
-            out.append((index, metrics, len(warp)))
-        else:
-            out.append((index, _replay_warp(warp, dcfgs, cfg, stats=vstats),
-                        len(warp)))
-    return out, lookups, hits, vstats[0], vstats[1]
+def _replay_warps(warps, dcfgs: DCFGSet, cfg: AnalyzerConfig,
+                  memo: Optional[dict], *, key_prefix: tuple = (),
+                  memo_cap: Optional[int] = None, visitor_factory=None,
+                  stats: Optional[list] = None
+                  ) -> Tuple[List[Tuple[WarpMetrics, int]], int, int]:
+    """Replay ``warps`` in order, reusing metrics through ``memo``.
 
+    The one warp loop of the analyzer, shared by the serial path and
+    the pool workers (:func:`repro.pool._shm_replay_shard`).  Returns
+    ``(per_warp, memo_lookups, memo_hits)`` with ``per_warp`` as
+    ``(WarpMetrics, n_threads)`` in input order.
 
-def _replay_parallel(
-        warps, dcfgs: DCFGSet, cfg: AnalyzerConfig, jobs: int,
-        memo: bool = True, stage_timeout: Optional[float] = None,
-) -> Optional[Tuple[List[Tuple[WarpMetrics, int]], int, int,
-                    Tuple[int, int]]]:
-    """Replay ``warps`` on a fork pool; None means "fall back to serial".
-
-    Returns ``(per_warp, memo_lookups, memo_hits, (vector_tokens,
-    total_tokens))`` on success.  Warps
-    are striped across shards for load balance; results are re-sorted by
-    warp index before merging so aggregation order (and therefore every
-    dict insertion order in the report) matches the serial path exactly.
-    Each shard keeps its own memo table (forked workers share no state),
-    so hit counts vary with ``jobs`` even though the metrics do not.
-
-    Crash safety is :func:`repro.pool.fork_map`'s retry-classification
-    contract: a worker that dies or times out makes the outcome
-    incomplete -- answered here with the serial fallback (``None``,
-    partial results discarded so aggregation order never changes) --
-    while a worker exception that is a *bug* in replay code propagates
-    with its original traceback; the fallback must never mask defects.
+    ``memo`` is the metrics table keyed on ``key_prefix +``
+    :func:`_memo_key` (``None`` replays every warp fresh); the serial
+    path passes a per-call dict, a worker its resident cross-call
+    table and a ``(state_key, cfg_token)`` prefix so entries for other
+    DCFGs or configs never match.  ``memo_cap`` bounds the table (it
+    is cleared wholesale when full).  ``visitor_factory`` is honored
+    only without a memo (see :meth:`ThreadFuserAnalyzer.analyze`).
     """
-    # Pack (and verify) in the parent so the forked workers inherit the
-    # columnar buffers copy-on-write instead of re-packing the same
-    # streams once per shard.
-    for warp in warps:
-        for trace in warp:
-            trace.packed().ensure_verified()
-    jobs = min(jobs, len(warps))
-    shards = [list(range(j, len(warps), jobs)) for j in range(jobs)]
-    outcome = pool_mod.fork_map(
-        _replay_shard, shards, jobs,
-        tokens=[f"replay:{shard[0]}" for shard in shards],
-        stage_timeout=stage_timeout,
-        state=(warps, dcfgs, cfg, memo),
-    )
-    if outcome is None or not outcome.complete(len(shards)):
-        return None
-    chunks = [outcome.results[index] for index in range(len(shards))]
-    lookups = sum(chunk[1] for chunk in chunks)
-    hits = sum(chunk[2] for chunk in chunks)
-    vector_tokens = sum(chunk[3] for chunk in chunks)
-    total_tokens = sum(chunk[4] for chunk in chunks)
-    flat = sorted(
-        (item for chunk in chunks for item in chunk[0]), key=lambda t: t[0]
-    )
-    per_warp = [(metrics, n_threads) for _index, metrics, n_threads in flat]
-    return per_warp, lookups, hits, (vector_tokens, total_tokens)
+    per_warp: List[Tuple[WarpMetrics, int]] = []
+    lookups = hits = 0
+    for warp_index, warp in enumerate(warps):
+        if memo is None:
+            visitor = (visitor_factory(warp_index) if visitor_factory
+                       else None)
+            per_warp.append(
+                (_replay_warp(warp, dcfgs, cfg, visitor, stats=stats),
+                 len(warp)))
+            continue
+        key = key_prefix + _memo_key(warp)
+        lookups += 1
+        cached = memo.get(key)
+        if cached is not None:
+            hits += 1
+            per_warp.append((cached.clone(), len(warp)))
+            continue
+        metrics = _replay_warp(warp, dcfgs, cfg, stats=stats)
+        if memo_cap is not None and len(memo) >= memo_cap:
+            memo.clear()
+        memo[key] = metrics
+        per_warp.append((metrics, len(warp)))
+    return per_warp, lookups, hits
 
 
 def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
@@ -388,7 +311,6 @@ def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
                      lock_reconvergence: str = "unlock",
                      config: Optional[AnalyzerConfig] = None,
                      jobs: int = 1, memo: bool = True,
-                     pool: str = "shared",
                      stage_timeout: Optional[float] = None):
     """SIMT efficiency across warp widths (the Fig. 1 sweep).
 
@@ -402,14 +324,14 @@ def sweep_warp_sizes(traces: TraceSet, warp_sizes=(8, 16, 32),
         batching=batching, emulate_locks=emulate_locks,
         lock_reconvergence=lock_reconvergence,
     )
-    analyzer = ThreadFuserAnalyzer(base, jobs=jobs, memo=memo, pool=pool,
+    analyzer = ThreadFuserAnalyzer(base, jobs=jobs, memo=memo,
                                    stage_timeout=stage_timeout)
     dcfgs = analyzer.prepare(traces)
     out = {}
     for warp_size in warp_sizes:
         sized = dataclasses.replace(base, warp_size=warp_size)
         out[warp_size] = ThreadFuserAnalyzer(
-            sized, jobs=jobs, memo=memo, pool=pool,
+            sized, jobs=jobs, memo=memo,
             stage_timeout=stage_timeout,
         ).analyze(traces, dcfgs=dcfgs)
     return out
@@ -420,7 +342,6 @@ def analyze_traces(traces: TraceSet, warp_size: int = 32,
                    emulate_locks: bool = False,
                    lock_reconvergence: str = "unlock",
                    jobs: int = 1, memo: bool = True,
-                   pool: str = "shared",
                    stage_timeout: Optional[float] = None) -> AnalysisReport:
     """One-call convenience wrapper around :class:`ThreadFuserAnalyzer`."""
     config = AnalyzerConfig(
@@ -428,6 +349,6 @@ def analyze_traces(traces: TraceSet, warp_size: int = 32,
         lock_reconvergence=lock_reconvergence,
     )
     return ThreadFuserAnalyzer(
-        config, jobs=jobs, memo=memo, pool=pool,
+        config, jobs=jobs, memo=memo,
         stage_timeout=stage_timeout,
     ).analyze(traces)

@@ -2,7 +2,7 @@
 
 Long batch pipelines (tracing dozens of workloads, replaying warps,
 correlating against the hardware oracle) treat failures as routine, not
-exceptional: a fork-pool worker dies, a cache object rots on disk, a
+exceptional: a pool worker dies, a cache object rots on disk, a
 trace file is truncated mid-write.  Each of those must surface as a
 *typed*, *actionable* error -- never as unpickled garbage or a silently
 wrong metric.
@@ -12,7 +12,7 @@ Hierarchy::
     ReproError
     ├── ArtifactCorruptError    # cache payload failed its checksum
     ├── TraceCorruptError       # trace stream truncated or garbled
-    ├── WorkerCrashError        # a fork-pool worker died abruptly
+    ├── WorkerCrashError        # a pool worker died abruptly
     ├── StageTimeoutError       # a stage exceeded its deadline
     ├── RetryExhaustedError     # retries + serial fallback all failed
     ├── IndexCorruptError       # result index (index.db) unreadable
@@ -103,7 +103,7 @@ class IndexCorruptError(ReproError):
 
 
 class WorkerCrashError(ReproError):
-    """A fork-pool worker terminated abruptly (killed, OOM, crashed)."""
+    """A pool worker terminated abruptly (killed, OOM, crashed)."""
 
 
 class StageTimeoutError(ReproError):

@@ -13,7 +13,7 @@ pays only an attribute load and a no-op call per probe when profiling is
 off.  The singleton's :meth:`~NullRecorder.span` returns one shared,
 reentrant, stateless context manager -- no allocation per stage entry.
 
-Recorders are deliberately **not** shared across processes: forked replay
+Recorders are deliberately **not** shared across processes: pool replay
 workers never see the parent's recorder.  Cross-worker observability
 flows through the per-warp metric objects the workers already return,
 which the analyzer merges in warp-index order (see

@@ -1,6 +1,6 @@
 """``repro.pool``: the parallel-execution substrate.
 
-Every way the pipeline runs work on other processes lives here:
+Where ``jobs>1`` warp replay and ``trace_many`` run, in two parts:
 
 * the **persistent worker pool** (:class:`WorkerPool`): workers are
   spawned once and reused across ``trace_many`` / replay / sweep calls,
@@ -22,26 +22,21 @@ Every way the pipeline runs work on other processes lives here:
   ``weakref.finalize`` when the traces are collected, or explicitly by
   ``AnalysisSession.close``), unlinks segments eagerly, retries
   transient unlink failures, and re-reaps anything left at exit so no
-  ``/dev/shm`` segment outlives the process;
+  ``/dev/shm`` segment outlives the process.
 
-* the **per-call fork pool** (:func:`fork_map`): the pre-existing
-  substrate, kept as the ``pool="fork"`` fallback for platforms
-  without usable shared memory.  The spawn / retry-classification /
-  ``stage_timeout`` boilerplate previously duplicated between
-  :mod:`repro.core.analyzer` and :mod:`repro.session` now lives only
-  here.
+Whatever this substrate cannot do falls back to the caller's
+bit-identical serial path; there is no other parallel substrate.
 
-Failure policy (same contract as the fork pool): infrastructure
-failures -- a killed or hung worker, a failed arena attach, a broken
-pipe -- are *retryable* (:func:`repro.faults.is_retryable`) and
-surface as ``None`` results so callers fall back to the bit-identical
-serial path.  A worker exception that is a bug re-raises immediately
-in the parent with the worker's traceback chained as ``__cause__``.
-The fault sites ``pool.spawn`` / ``pool.worker`` / ``pool.result``
-fire on this substrate exactly as on the fork pool, plus the two
-substrate-specific sites ``pool.attach`` (worker-side, before mapping
-an arena) and ``shm.unlink`` (parent-side, before releasing a
-segment); see :mod:`repro.faults`.
+Failure policy: infrastructure failures -- a killed or hung worker, a
+failed spawn or arena attach, a broken pipe -- are *retryable*
+(:func:`repro.faults.is_retryable`) and surface as ``None`` results so
+callers fall back to the serial path.  A worker exception that is a
+bug re-raises immediately in the parent with the worker's traceback
+chained as ``__cause__``.  The fault sites ``pool.spawn`` (before a
+worker is started or respawned), ``pool.worker`` (inside a worker, per
+task), ``pool.result`` (parent-side, per task result), ``pool.attach``
+(worker-side, before mapping an arena) and ``shm.unlink`` (parent-side,
+before releasing a segment) fire here; see :mod:`repro.faults`.
 
 Because workers are reused, per-worker state is explicit: the active
 fault plan is re-broadcast at the start of every batch (the moral
@@ -65,8 +60,6 @@ import traceback
 import warnings
 import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -453,19 +446,21 @@ def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
     """Pool-resident task: replay one shard of warps from an arena.
 
     ``payload``: ``(arena_name, state_key, cfg, entries, memo)``
-    where ``entries`` is ``[(warp_index, [thread_index, ...]), ...]``.  Returns ``(results, memo_lookups,
-    memo_hits, vector_tokens, total_tokens)`` with results as
-    ``(warp_index, WarpMetrics, n_threads)``; the trailing token pair
-    feeds the parent's ``replay.vector_*`` gauges.
+    where ``entries`` is ``[(warp_index, [thread_index, ...]), ...]``.
+    Returns ``(results, memo_lookups, memo_hits, vector_tokens,
+    total_tokens)`` with results as ``(warp_index, WarpMetrics,
+    n_threads)``; the trailing token pair feeds the parent's
+    ``replay.vector_*`` gauges.
 
-    The memo is worker-resident and keyed on ``(dcfgs token, config
-    items, warp root, ordered lane signatures)``, so it survives across
-    calls (the warm-call fast path) without ever returning metrics for
-    different inputs.  Lane signatures come from
-    ``ThreadTrace.signature``, which verifies the shared columns
-    against their content hash on first use -- attach corruption
-    surfaces as :class:`~repro.errors.TraceCorruptError`, a retryable
-    failure answered by the serial fallback.
+    The warp loop is :func:`repro.core.analyzer._replay_warps`, the
+    same one the serial path runs.  The memo is worker-resident and
+    keyed on ``(dcfgs token, config items, warp root, ordered lane
+    signatures)``, so it survives across calls (the warm-call fast
+    path) without ever returning metrics for different inputs.  Lane
+    signatures come from ``ThreadTrace.signature``, which verifies the
+    shared columns against their content hash on first use -- attach
+    corruption surfaces as :class:`~repro.errors.TraceCorruptError`, a
+    retryable failure answered by the serial fallback.
     """
     ctx = _WORKER_CTX
     if ctx is None:
@@ -488,33 +483,19 @@ def _shm_replay_shard(payload: tuple) -> Tuple[list, int, int, int, int]:
             hint="the state push failed or was evicted; the batch falls "
                  "back",
         )
-    from .core.analyzer import _replay_warp
+    from .core.analyzer import _replay_warps
 
     traces = entry[1]
+    warps = [[traces[i] for i in lanes] for _index, lanes in entries]
     cfg_token = tuple(sorted(dataclasses.asdict(cfg).items()))
-    out = []
-    lookups = hits = 0
     vstats = [0, 0]
-    for warp_index, lanes in entries:
-        warp = [traces[i] for i in lanes]
-        if memo:
-            lookups += 1
-            key = (state_key, cfg_token, warp[0].root,
-                   tuple(trace.signature for trace in warp))
-            cached = ctx.memo.get(key)
-            if cached is not None:
-                hits += 1
-                out.append((warp_index, cached.clone(), len(warp)))
-                continue
-            metrics = _replay_warp(warp, dcfgs, cfg, stats=vstats)
-            if len(ctx.memo) >= MEMO_CAP:
-                ctx.memo.clear()
-            ctx.memo[key] = metrics
-            out.append((warp_index, metrics, len(warp)))
-        else:
-            out.append((warp_index,
-                        _replay_warp(warp, dcfgs, cfg, stats=vstats),
-                        len(warp)))
+    per_warp, lookups, hits = _replay_warps(
+        warps, dcfgs, cfg, ctx.memo if memo else None,
+        key_prefix=(state_key, cfg_token), memo_cap=MEMO_CAP, stats=vstats,
+    )
+    out = [(warp_index, metrics, n_threads)
+           for (warp_index, _lanes), (metrics, n_threads)
+           in zip(entries, per_warp)]
     return out, lookups, hits, vstats[0], vstats[1]
 
 
@@ -755,9 +736,9 @@ class WorkerPool:
         prepared: set = set()
         #: Task indices whose parent-side ``pool.result`` check already
         #: fired.  Every task gets exactly one such check -- at reply
-        #: consumption normally, at abandonment otherwise -- matching
-        #: the per-item check of the fork path, so injected-fault hit
-        #: counts stay identical across substrates.
+        #: consumption normally, at abandonment otherwise -- so an
+        #: injected-fault plan hits each task exactly once, however
+        #: its worker fared.
         checked: set = set()
 
         def consume_check(index: int) -> bool:
@@ -1048,9 +1029,9 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
     """Replay ``warps`` on the persistent pool via a shared-memory arena.
 
     Returns ``(per_warp, memo_lookups, memo_hits, (vector_tokens,
-    total_tokens))`` exactly like the
-    fork path, or ``None`` when the substrate is unavailable or failed
-    retryably (callers cascade to the fork pool, then serial).  Warps
+    total_tokens))``, or ``None`` when the substrate is unavailable
+    (no usable shared memory) or failed retryably; the caller then
+    replays serially, bit-identically.  Warps
     are striped across workers with stable affinity (shard ``j`` ->
     worker ``j``), so repeated calls over the same traces hit the same
     worker's resident memo.
@@ -1077,8 +1058,8 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
             return None
         raise
     if any(outcome is None for outcome in outcomes):
-        # Partial results are discarded wholesale (same policy as the
-        # fork path): the serial fallback is bit-identical anyway.
+        # Partial results are discarded wholesale: the serial fallback
+        # is bit-identical anyway.
         return None
     flat = sorted(
         (item for outcome in outcomes for item in outcome[0]),
@@ -1092,98 +1073,6 @@ def replay_warps_shared(traces: TraceSet, warps, dcfgs, cfg, jobs: int, *,
     if obs is not None and obs.enabled:
         export_gauges(obs)
     return per_warp, lookups, hits, (vector_tokens, total_tokens)
-
-
-# -- the per-call fork pool (the ``pool="fork"`` fallback) ---------------
-
-#: Shared state inherited by forked workers (set around the pool).
-_FORK_STATE: Optional[tuple] = None
-
-
-def fork_state() -> Optional[tuple]:
-    """The state tuple :func:`fork_map` exposed to forked workers."""
-    return _FORK_STATE
-
-
-@dataclass
-class ForkOutcome:
-    """What one :func:`fork_map` call produced.
-
-    ``results`` maps item index to the worker's return value; items
-    whose workers failed retryably are simply absent.  ``broken`` is
-    set when the pool itself died mid-batch (whatever completed is
-    kept).
-    """
-
-    results: Dict[int, Any] = field(default_factory=dict)
-    worker_failures: int = 0
-    broken: bool = False
-
-    def complete(self, n_items: int) -> bool:
-        """True when all ``n_items`` succeeded with no failures.
-
-        A ``False`` return means the caller must regenerate the
-        missing items on the serial fallback path.
-        """
-        return (not self.broken and not self.worker_failures
-                and len(self.results) == n_items)
-
-
-def fork_map(fn, items: Sequence, jobs: int, *,
-             tokens: Optional[Sequence[str]] = None,
-             stage_timeout: Optional[float] = None,
-             state: Optional[tuple] = None) -> Optional[ForkOutcome]:
-    """Map ``fn`` over ``items`` on a per-call fork pool.
-
-    The single home of the spawn / retry-classification /
-    ``stage_timeout`` boilerplate formerly duplicated between
-    ``session.py`` and ``core/analyzer.py``:
-
-    * ``None`` return: the pool could not start at all (no ``fork``
-      start method, or an injected/real spawn failure) -- callers fall
-      back serially;
-    * per-item retryable failures (killed worker, timeout, transient
-      ``OSError``, corrupt transport) leave that item out of
-      ``results`` and bump ``worker_failures``;
-    * a non-retryable worker exception -- a bug -- propagates
-      immediately with the worker's traceback as ``__cause__``;
-    * ``state`` is exposed to the forked workers via
-      :func:`fork_state` (inherited copy-on-write at fork time).
-
-    ``stage_timeout`` is the per-item result deadline in **seconds**
-    (``None``: wait forever).  ``tokens`` (parallel to ``items``) are
-    the ``pool.result`` fault tokens; they default to the empty token.
-    """
-    global _FORK_STATE
-    try:
-        faults.check("pool.spawn")
-        context = multiprocessing.get_context("fork")
-    except (ValueError, OSError):
-        return None
-    jobs = min(max(1, jobs), len(items))
-    outcome = ForkOutcome()
-    _FORK_STATE = state
-    try:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=context) as executor:
-            futures = [executor.submit(fn, item) for item in items]
-            for index, future in enumerate(futures):
-                token = tokens[index] if tokens is not None else ""
-                try:
-                    faults.check("pool.result", token)
-                    outcome.results[index] = future.result(
-                        timeout=stage_timeout)
-                except Exception as exc:
-                    if not faults.is_retryable(exc):
-                        raise
-                    outcome.worker_failures += 1
-    except BrokenExecutor:
-        outcome.broken = True
-    except OSError:
-        outcome.broken = True
-    finally:
-        _FORK_STATE = None
-    return outcome
 
 
 # -- observability --------------------------------------------------------
@@ -1249,13 +1138,10 @@ __all__ = [
     "MEMO_CAP",
     "STATE_CAP",
     "ColumnArena",
-    "ForkOutcome",
     "RemoteTraceback",
     "WorkerPool",
     "arena_for",
     "export_gauges",
-    "fork_map",
-    "fork_state",
     "leaked_segments",
     "live_arenas",
     "probe_info",

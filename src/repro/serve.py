@@ -585,7 +585,7 @@ class AnalysisServer:
     session_kwargs:
         Forwarded to :class:`~repro.session.AnalysisSession` when no
         session is passed (``cache_dir``, ``jobs``, ``engine``,
-        ``pool``, ``memo``, ...).
+        ``memo``, ...).
 
     Inline, jobs run one at a time on a dedicated runner thread;
     parallelism lives inside a job (the session's ``jobs`` knob fans
@@ -678,7 +678,6 @@ class AnalysisServer:
             "jobs": session.jobs,
             "engine": session.engine,
             "memo": session.memo,
-            "pool": session.pool,
             "stage_timeout": session.stage_timeout,
         }
 
@@ -1034,7 +1033,6 @@ class AnalysisServer:
             "shards": self._shards_doc(),
             "session": {
                 "jobs": self._session.jobs,
-                "pool": self._session.pool,
                 "memo": self._session.memo,
                 "executions": self._session.executions,
                 "cached": self._session.store is not None,
@@ -1589,7 +1587,7 @@ async def _serve_forever(server: AnalysisServer) -> None:
     await server.start()
     print(f"threadfuser-serve listening on {server.url} "
           f"(queue depth {server.queue_depth}, "
-          f"jobs {server.session.jobs}, pool {server.session.pool!r}, "
+          f"jobs {server.session.jobs}, "
           f"shards {server.shards})")
     print(f"SERVE_URL={server.url}", flush=True)
     try:

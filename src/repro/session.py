@@ -101,17 +101,14 @@ class AnalysisSession:
     stage_timeout:
         Optional per-item deadline (seconds) for pool results; a worker
         that exceeds it is treated as a retryable failure and its item
-        falls back to the bit-identical serial path.  One knob governs
-        both substrates (see ``pool``).
-    pool:
-        Parallel substrate for ``jobs>1``: ``"shared"`` (the default)
-        runs on the persistent :mod:`repro.pool` workers -- spawned
-        once, reused across ``trace_many``/replay/sweep calls, traces
-        shared zero-copy through shared-memory column arenas -- while
-        ``"fork"`` keeps the per-call fork pool for platforms without
-        usable shared memory.  Results are bit-identical across
-        substrates (and serial); the choice never enters artifact
-        fingerprints.
+        falls back to the bit-identical serial path.
+
+    ``jobs>1`` runs on the persistent :mod:`repro.pool` workers --
+    spawned once, reused across ``trace_many``/replay/sweep calls,
+    traces shared zero-copy through shared-memory column arenas --
+    and falls back to the serial path wherever that pool cannot run.
+    Results are bit-identical either way, so ``jobs`` never enters
+    artifact fingerprints.
 
     Sessions are context managers: ``close()`` (or leaving the ``with``
     block) releases every shared-memory arena attached to this
@@ -126,12 +123,7 @@ class AnalysisSession:
                  recorder=None, engine: Optional[str] = None,
                  retry: Optional[faults.RetryPolicy] = None,
                  stage_timeout: Optional[float] = None,
-                 memo: bool = True,
-                 pool: str = "shared") -> None:
-        if pool not in ("shared", "fork"):
-            raise ValueError(
-                f"unknown pool substrate {pool!r} (expected 'shared' or "
-                "'fork')")
+                 memo: bool = True) -> None:
         if store is None and cache_dir is not None:
             store = ArtifactStore(cache_dir)
         self.store = store
@@ -144,7 +136,6 @@ class AnalysisSession:
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.retry = retry or faults.RetryPolicy()
         self.stage_timeout = stage_timeout
-        self.pool = pool
         #: Machine executions performed by this session (test surface:
         #: a warm cache keeps this at zero).
         self.executions = 0
@@ -400,7 +391,7 @@ class AnalysisSession:
         machine's full dynamic instruction count including untraced
         code; ``machine.mem_events`` the per-touch load/store events
         (see :class:`repro.machine.machine.Machine`).  When the
-        execution ran in a fork-pool worker the live machine never
+        execution ran in a pool worker the live machine never
         crosses back, so the worker ships its counts as the plain dict
         ``machine_counts`` instead (see :func:`_machine_counts`) --
         the exported counters are identical either way.
@@ -455,17 +446,19 @@ class AnalysisSession:
         """Trace several workloads, generating cold traces concurrently.
 
         Cache hits are served as usual; the remaining cold workloads run
-        on a fork pool (``jobs`` defaults to the session's knob).  The
-        result maps workload name to :class:`TraceSet`.
+        on the persistent worker pool (``jobs`` defaults to the
+        session's knob).  The result maps workload name to
+        :class:`TraceSet`.
 
         Failure handling: pool failures are *classified* (see
         :func:`repro.faults.is_retryable`).  A dead or timed-out worker,
-        a broken pool, or a corrupted result stream sends the affected
-        items to the serial path -- bit-identical to ``jobs=1`` -- with
-        per-item retry and exponential backoff (the session's ``retry``
-        policy).  A worker exception that is a *bug* (a ``ValueError``
-        from workload code, say) is never silently retried: it re-raises
-        immediately with the worker's original traceback chained in.
+        a pool that cannot start, or a corrupted result stream sends the
+        affected items to the serial path -- bit-identical to
+        ``jobs=1`` -- with per-item retry and exponential backoff (the
+        session's ``retry`` policy).  A worker exception that is a *bug*
+        (a ``ValueError`` from workload code, say) is never silently
+        retried: it re-raises immediately with the worker's original
+        traceback chained in.
         """
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         names = list(workloads)
@@ -521,69 +514,30 @@ class AnalysisSession:
     def _pool_trace(self, cold: List[str], n_threads: Optional[int],
                     seed: int, opt_level: str,
                     pool_jobs: int) -> Dict[str, Tuple[bytes, Dict]]:
-        """Run the cold workloads on a crash-safe worker pool.
+        """Run the cold workloads on the persistent :mod:`repro.pool`.
 
-        Dispatches to the session's substrate (``pool="shared"``: the
-        persistent :mod:`repro.pool` workers; ``"fork"``: a per-call
-        fork pool), cascading shared -> fork -> serial.  Returns
-        serialized results for the items whose workers succeeded.
-        Items whose workers failed *retryably* (killed, broken pool,
+        Returns serialized results for the items whose workers
+        succeeded.  Items whose workers failed *retryably* (killed,
         timeout, transient ``OSError``) are simply absent -- the caller
-        regenerates them serially.  A non-retryable worker exception
-        re-raises with its remote traceback attached as the
-        ``__cause__``.
+        regenerates them serially -- and a pool that cannot run at all
+        yields no results and one ``pool_fallbacks`` count.  A
+        non-retryable worker exception re-raises with its remote
+        traceback attached as the ``__cause__``.
         """
-        specs = [(name, n_threads, seed, opt_level, self.engine)
+        # Late global lookup (not an early binding): the task callable
+        # ships by reference, so monkeypatched replacements of
+        # ``_trace_worker`` are what the workers run.
+        tasks = [(_trace_worker,
+                  (name, n_threads, seed, opt_level, self.engine), name)
                  for name in cold]
-        if self.pool == "shared":
-            results = self._shared_trace(cold, specs, pool_jobs)
-            if results is not None:
-                return results
-            self.fault_stats["pool_fallbacks"] += 1
-        results = {}
-        outcome = pool_mod.fork_map(
-            _trace_worker, specs, pool_jobs, tokens=cold,
-            stage_timeout=self.stage_timeout,
-        )
-        if outcome is None:
-            self.fault_stats["pool_fallbacks"] += 1
-            return results
-        self.fault_stats["worker_failures"] += outcome.worker_failures
-        if outcome.broken:
-            # The pool itself died (e.g. while shutting down); whatever
-            # completed is kept, the rest falls back to serial.
-            self.fault_stats["pool_fallbacks"] += 1
-        for value in outcome.results.values():
-            rname, data, counts = value
-            results[rname] = (data, counts)
-        return results
-
-    def _shared_trace(
-            self, cold: List[str], specs: List[tuple],
-            pool_jobs: int) -> Optional[Dict[str, Tuple[bytes, Dict]]]:
-        """Trace the cold workloads on the persistent shared pool.
-
-        ``None`` means the substrate was unavailable or failed
-        retryably as a whole (cascade to the fork pool); otherwise the
-        per-item contract matches :meth:`_pool_trace`.  The task
-        callable is read from this module's ``_trace_worker`` attribute
-        at dispatch time and shipped by reference, preserving both
-        monkeypatchability and the bug-propagation contract of the fork
-        path.
-        """
-        # Late global lookup (not an early binding): monkeypatched
-        # replacements of ``_trace_worker`` are honored, like
-        # ``executor.submit(_trace_worker, ...)`` was.
-        tasks = [(_trace_worker, spec, name)
-                 for name, spec in zip(cold, specs)]
         try:
-            shared = pool_mod.shared_pool()
-            outcomes = shared.run_tasks(tasks, jobs=pool_jobs,
-                                        stage_timeout=self.stage_timeout)
+            outcomes = pool_mod.shared_pool().run_tasks(
+                tasks, jobs=pool_jobs, stage_timeout=self.stage_timeout)
         except Exception as exc:
-            if faults.is_retryable(exc):
-                return None
-            raise
+            if not faults.is_retryable(exc):
+                raise
+            self.fault_stats["pool_fallbacks"] += 1
+            return {}
         results: Dict[str, Tuple[bytes, Dict]] = {}
         for value in outcomes:
             if value is None:
@@ -660,7 +614,7 @@ class AnalysisSession:
         """
         analyzer = ThreadFuserAnalyzer(
             config, jobs=self.jobs if jobs is None else jobs,
-            recorder=self.obs, memo=self.memo, pool=self.pool,
+            recorder=self.obs, memo=self.memo,
             stage_timeout=self.stage_timeout,
         )
         with self.obs.span("replay"):
@@ -730,7 +684,7 @@ class AnalysisSession:
 def _machine_counts(machine) -> Dict[str, int]:
     """The machine-level telemetry counts of one finished execution.
 
-    A plain dict so fork-pool workers can ship the counts back without
+    A plain dict so pool workers can ship the counts back without
     pickling the machine itself; the parent records them through
     :meth:`AnalysisSession._record_trace_counters` exactly as if the
     execution had run in-process.
@@ -744,7 +698,7 @@ def _machine_counts(machine) -> Dict[str, int]:
 
 
 def _trace_worker(spec: tuple) -> Tuple[str, bytes, Dict[str, int]]:
-    """Fork-pool worker: trace one workload, return serialized traces.
+    """Pool worker task: trace one workload, return serialized traces.
 
     Results cross the process boundary in the trace-file wire format
     (not pickles of live objects), so the bytes the parent stores are

@@ -219,7 +219,7 @@ class ShardPool:
     config:
         :class:`~repro.session.AnalysisSession` keyword arguments for
         each shard's private session (``cache_dir`` pointing at the
-        shared store, ``jobs``, ``engine``, ``memo``, ``pool``,
+        shared store, ``jobs``, ``engine``, ``memo``,
         ``stage_timeout``).
     cell_timeout:
         Optional per-cell wall-clock bound (seconds).  A cell past it

@@ -19,6 +19,7 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 from repro import faults
+from repro import pool as pool_mod
 from repro.artifacts import (
     KIND_REPORT,
     KIND_TRACES,
@@ -303,6 +304,27 @@ class TestTelemetrySurface:
         assert "faults.pool_fallbacks" in telemetry.gauges
         # Recovery never leaks into the counters section.
         assert not any(k.startswith("faults.") for k in telemetry.counters)
+
+    def test_unstartable_pool_is_counted_once(self):
+        # A trace_many whose worker pool cannot spawn falls back to the
+        # serial path exactly once, with bit-identical traces.
+        names = ["vectoradd", "nbody"]
+        with faults.injected(None):
+            expected = {
+                name: serialize_traces(traces)
+                for name, traces in AnalysisSession(jobs=1).trace_many(
+                    names, n_threads=16).items()
+            }
+        pool_mod.shutdown()  # no live workers: the batch must spawn
+        plan = FaultPlan([FaultSpec(site="pool.spawn", kind="raise",
+                                    count=999)])
+        with faults.injected(plan):
+            session = AnalysisSession(jobs=2)
+            traced = session.trace_many(names, n_threads=16)
+        assert session.fault_stats["pool_fallbacks"] == 1
+        assert plan.injected == {"pool.spawn": 1}
+        for name in names:
+            assert serialize_traces(traced[name]) == expected[name], name
 
     def test_corrupt_cache_reads_exported_as_gauge(self, tmp_path):
         cache = str(tmp_path / "cache")

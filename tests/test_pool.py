@@ -8,14 +8,15 @@ Covers the :mod:`repro.pool` substrate end to end:
 * pool lifecycle -- spawn-once reuse across batches, crash respawn,
   per-task timeouts, bug propagation with the remote traceback, clean
   shutdown;
-* the parity matrix -- persistent-pool results equal fork-pool and
-  serial results (pickled reports *and* telemetry counters) across
-  jobs 1/2/4/8, both execution engines, memo on and off;
+* the parity matrix -- persistent-pool results equal serial results
+  (pickled reports *and* telemetry counters) across jobs 1/2/4/8,
+  both execution engines, memo on and off;
 * the zero-leak guarantee -- after ``AnalysisSession.close()`` no
   arena is live and no ``tfuser-*`` segment remains in ``/dev/shm``;
 * the no-silent-fallback contract -- a run that degrades to serial
   replay despite ``jobs>1`` reports a ``pool.fallback`` gauge and a
-  one-time ``RuntimeWarning``.
+  one-time ``RuntimeWarning``, including on a platform without
+  usable shared memory.
 """
 
 import functools
@@ -24,6 +25,7 @@ import glob
 import os
 import pickle
 import time
+import warnings
 
 import pytest
 
@@ -266,11 +268,10 @@ def _config(name):
                           emulate_locks=(name == "memcached"))
 
 
-def _run(name, pool, jobs, memo=True, engine=None):
+def _run(name, jobs, memo=True, engine=None):
     recorder = Recorder()
     analyzer = ThreadFuserAnalyzer(_config(name), jobs=jobs,
-                                   recorder=recorder, memo=memo,
-                                   pool=pool)
+                                   recorder=recorder, memo=memo)
     report = analyzer.analyze(_traces(name, engine=engine))
     telemetry = recorder.telemetry()
     return pickle.dumps(report), dict(telemetry.counters)
@@ -281,19 +282,16 @@ class TestSubstrateParityMatrix:
     @pytest.mark.parametrize("memo", [True, False],
                              ids=["memo", "nomemo"])
     @pytest.mark.parametrize("name", ["vectoradd", "memcached"])
-    def test_shared_equals_fork_equals_serial(self, name, memo, jobs):
-        reference, ref_counters = _run(name, "fork", 1, memo=memo)
-        for pool in ("shared", "fork"):
-            report, counters = _run(name, pool, jobs, memo=memo)
-            assert report == reference, (pool, jobs)
-            assert counters == ref_counters, (pool, jobs)
+    def test_shared_equals_serial(self, name, memo, jobs):
+        reference, ref_counters = _run(name, 1, memo=memo)
+        report, counters = _run(name, jobs, memo=memo)
+        assert report == reference, jobs
+        assert counters == ref_counters, jobs
 
     @pytest.mark.parametrize("engine", ["compiled", "interp"])
     def test_engines_are_identical_on_the_shared_pool(self, engine):
-        reference, ref_counters = _run("streamcluster", "fork", 1,
-                                       engine=engine)
-        report, counters = _run("streamcluster", "shared", 4,
-                                engine=engine)
+        reference, ref_counters = _run("streamcluster", 1, engine=engine)
+        report, counters = _run("streamcluster", 4, engine=engine)
         assert report == reference
         assert counters == ref_counters
 
@@ -346,22 +344,16 @@ class TestSessionIntegration:
 
     def test_pool_substrate_is_not_in_fingerprints(self, tmp_path):
         cache = str(tmp_path / "cache")
-        shared = AnalysisSession(cache_dir=cache, jobs=2, pool="shared")
+        shared = AnalysisSession(cache_dir=cache, jobs=2)
         first = shared.analyze("vectoradd", n_threads=N_THREADS)
-        fork = AnalysisSession(cache_dir=cache, jobs=2, pool="fork")
-        second = fork.analyze("vectoradd", n_threads=N_THREADS)
+        serial = AnalysisSession(cache_dir=cache, jobs=1)
+        second = serial.analyze("vectoradd", n_threads=N_THREADS)
         assert (artifacts._canonical_pickle(first)
                 == artifacts._canonical_pickle(second))
-        # The second session served everything from the first's cache.
-        assert fork.executions == 0
+        # The serial session served everything from the pool run's cache.
+        assert serial.executions == 0
         shared.close()
-        fork.close()
-
-    def test_unknown_substrate_is_rejected(self):
-        with pytest.raises(ValueError, match="pool substrate"):
-            AnalysisSession(pool="threads")
-        with pytest.raises(ValueError, match="pool substrate"):
-            ThreadFuserAnalyzer(pool="threads")
+        serial.close()
 
 
 # -- fallback visibility --------------------------------------------------
@@ -386,19 +378,45 @@ class TestFallbackVisibility:
         assert pickle.dumps(report) == pickle.dumps(
             serial.analyze(_traces("vectoradd")))
 
-    def test_attach_fault_cascades_to_fork_bit_identically(self):
+    def test_attach_fault_cascades_to_serial_bit_identically(self):
         plan = FaultPlan([FaultSpec(site="pool.attach", kind="raise",
                                     count=999)])
         pool_mod.shutdown()
         recorder = Recorder()
         analyzer = ThreadFuserAnalyzer(_config("vectoradd"), jobs=2,
                                        recorder=recorder)
-        with faults.injected(plan):
+        with faults.injected(plan), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             report = analyzer.analyze(_traces("vectoradd"))
-        assert recorder.telemetry().gauges["pool.shared_fallback"] == 1
+        gauges = recorder.telemetry().gauges
+        assert gauges["pool.fallback"] == 1
+        assert gauges["faults.replay_fallbacks"] == 1
         serial = ThreadFuserAnalyzer(_config("vectoradd"), jobs=1)
         assert pickle.dumps(report) == pickle.dumps(
             serial.analyze(_traces("vectoradd")))
+
+    def test_no_shared_memory_replays_serially(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "shm_supported", lambda: False)
+        pool_mod._WARNED.discard("replay-serial-fallback")
+        recorder = Recorder()
+        analyzer = ThreadFuserAnalyzer(_config("vectoradd"), jobs=2,
+                                       recorder=recorder)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = analyzer.analyze(_traces("vectoradd"))
+            second = analyzer.analyze(_traces("vectoradd"))
+        fallback_warnings = [w for w in caught
+                             if issubclass(w.category, RuntimeWarning)
+                             and "serial" in str(w.message)]
+        assert len(fallback_warnings) == 1
+        gauges = recorder.telemetry().gauges
+        assert gauges["pool.fallback"] == 1
+        assert gauges["faults.replay_fallbacks"] == 1
+        assert "pool.batches" not in gauges  # no worker ever ran a batch
+        serial = pickle.dumps(ThreadFuserAnalyzer(
+            _config("vectoradd"), jobs=1).analyze(_traces("vectoradd")))
+        assert pickle.dumps(first) == serial
+        assert pickle.dumps(second) == serial
 
     @pytest.mark.usefixtures("quiet_faults")
     def test_pool_gauges_ride_in_session_telemetry(self):

@@ -7,10 +7,10 @@ machine-readable ``BENCH_replay.json`` at the repo root.
 
 Per workload the file records the best-of-``ROUNDS`` replay time
 (``replay_s``) and its thread-instruction throughput (``ips``), the
-one-time trace packing cost (``pack_s``, paid once per trace set and
-shared by every later analysis, so it is charged separately), the
 fraction of tokens the replayer consumed through its bulk-span steps
-(``vector_token_fraction``) and the memo counts.
+(``vector_token_fraction``) and the memo counts.  Packing is not
+charged here: the tracer records straight into the packed columns
+(``BENCH_core.json``'s traced throughput includes it).
 
 Every core report must match the frozen seed report of its cell in
 ``tests/fixtures/seed_reports.json`` bit for bit, and the replicated
@@ -91,11 +91,6 @@ def _replicated_traces(n_threads):
 
 def _measure(traces):
     cfg = AnalyzerConfig(warp_size=WARP_SIZE)
-    t0 = time.perf_counter()
-    for thread in traces:
-        thread.packed()
-    pack_s = time.perf_counter() - t0
-
     replay_s = float("inf")
     for _ in range(ROUNDS):
         recorder = Recorder()
@@ -111,7 +106,6 @@ def _measure(traces):
     row = {
         "thread_instructions": instructions,
         "replay_s": replay_s,
-        "pack_s": pack_s,
         "ips": instructions / replay_s,
         "vector_token_fraction": gauges.get(
             "replay.vector_token_fraction", 0.0),
@@ -147,17 +141,16 @@ def test_replay_throughput(benchmark):
         f"({'smoke' if SMOKE else 'full'} mode, {N_THREADS} threads, "
         f"warp {WARP_SIZE}, best of {ROUNDS}, "
         f"vector backend {vector.BACKEND})",
-        "{:<14} {:>11} {:>8} {:>7} {:>12} {:>6} {:>5}"
-        .format("workload", "thread-ins", "replay", "pack", "ips",
-                "vfrac", "memo"),
-        "{:<14} {:>11} {:>8} {:>7} {:>12} {:>6} {:>5}"
-        .format("", "", "ms", "ms", "", "", "rate"),
+        "{:<14} {:>11} {:>8} {:>12} {:>6} {:>5}"
+        .format("workload", "thread-ins", "replay", "ips", "vfrac",
+                "memo"),
+        "{:<14} {:>11} {:>8} {:>12} {:>6} {:>5}"
+        .format("", "", "ms", "", "", "rate"),
     ]
     for name, r in rows.items():
         lines.append(
             f"{name:<14} {r['thread_instructions']:>11} "
             f"{r['replay_s'] * 1e3:>8.1f} "
-            f"{r['pack_s'] * 1e3:>7.1f} "
             f"{r['ips']:>12.0f} "
             f"{r['vector_token_fraction']:>6.2f} "
             f"{r['memo_hit_rate']:>5.2f}"

@@ -80,7 +80,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Type
@@ -357,7 +356,6 @@ def mangle(site: str, data: bytes, token: str = "") -> bytes:
 #: Everything else is a *bug* and must propagate with its original
 #: traceback -- silently retrying it would mask real defects.
 RETRYABLE_TYPES: Tuple[Type[BaseException], ...] = (
-    BrokenExecutor,          # a pool worker died (BrokenProcessPool)
     TimeoutError,
     StageTimeoutError,
     WorkerCrashError,

@@ -372,11 +372,6 @@ class AnalysisSession:
             self.executions += 1
             self._record_trace_counters(traces, machine)
             if self.store is not None:
-                # Persisting packs every thread; from here on keep only
-                # the columns, as a store load would hand them over
-                # (tuples are re-materialized only if a consumer asks).
-                for trace in traces.threads:
-                    trace.attach_packed(trace.packed())
                 self.store.put_traces(fields, traces)
             self._traces[key] = traces
         return traces

@@ -5,7 +5,9 @@ per dynamic invocation of a traced worker function (one OpenMP iteration /
 one Pthread worker call), so CPU scheduling does not perturb the
 CPU-vs-GPU thread mapping.
 
-Token stream grammar (one stream per logical thread)::
+Each stream is stored in columns (:mod:`repro.tracer.packed`, written
+by the recorder as it traces); the tuple grammar below is its read-only
+view and the input format for hand-built traces::
 
     ("B", block_addr, n_instructions, mems)   executed basic block
     ("C", callee_name)                        call into callee (traced)
@@ -21,7 +23,7 @@ lanes of a warp.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
 TOK_BLOCK = "B"
 TOK_CALL = "C"
@@ -33,76 +35,60 @@ TOK_UNLOCK = "U"
 class ThreadTrace:
     """The dynamic trace of one logical (SIMT) thread.
 
-    The token stream has two interchangeable representations: the tuple
-    list (:attr:`tokens`, what the recorder appends to) and the columnar
+    The content is stored once, as the columnar
     :class:`~repro.tracer.packed.PackedTrace` (:meth:`packed`, what the
-    replayer iterates).  Either side is produced lazily from the other --
-    traces loaded from disk start packed and only materialize tuples if a
-    consumer asks for them.  Both the packed form and the
-    :attr:`n_instructions` total are cached keyed on the token-list
-    length, so recorder appends (the only in-tree mutation) invalidate
-    them automatically; ``trace.tokens = [...]`` assignment resets every
-    cache.
+    recorder builds, the store loads and the replayer iterates).
+    :attr:`tokens` is a read-only tuple view of the same stream,
+    materialized only if a consumer asks for it; assigning a token
+    sequence to :attr:`tokens` packs it and is the one way to replace
+    the content.
     """
 
     __slots__ = ("index", "cpu_tid", "root", "skipped", "closed",
-                 "_tokens", "_packed", "_ncache")
+                 "_packed", "_tokens")
 
     def __init__(self, index: int, cpu_tid: int, root: str) -> None:
         self.index = index
         self.cpu_tid = cpu_tid
         self.root = root
-        self._tokens: List[tuple] = []
         self._packed = None
-        self._ncache = None
+        self._tokens = None
         self.skipped: Dict[str, int] = {}
         self.closed = False
 
     @property
-    def tokens(self) -> List[tuple]:
-        """Token tuple stream (materialized from packed form on demand)."""
+    def tokens(self) -> Tuple[tuple, ...]:
+        """The token stream as tuples (materialized once, on demand)."""
         toks = self._tokens
         if toks is None:
-            toks = self._packed.to_tokens()
-            self._tokens = toks
+            toks = self._tokens = tuple(self.packed().to_tokens())
         return toks
 
     @tokens.setter
-    def tokens(self, value: List[tuple]) -> None:
-        self._tokens = value
-        self._packed = None
-        self._ncache = None
+    def tokens(self, value: Iterable[tuple]) -> None:
+        from .packed import PackedTrace
+
+        self.attach_packed(PackedTrace.from_tokens(value))
 
     @property
     def n_tokens(self) -> int:
         """Token count without materializing tuples."""
-        toks = self._tokens
-        if toks is None:
-            return self._packed.n_tokens
-        return len(toks)
+        return self.packed().n_tokens
 
     def packed(self):
-        """The columnar form of this trace (packed once, then cached).
-
-        The cache is keyed on the token-list length: appending tokens
-        (what the recorder does) produces a fresh pack on next use.
-        """
+        """The columnar form of this trace."""
         packed = self._packed
-        toks = self._tokens
-        if packed is not None and (toks is None
-                                   or packed.n_tokens == len(toks)):
-            return packed
-        from .packed import PackedTrace
+        if packed is None:
+            # Nothing was recorded or assigned: the empty stream.
+            from .packed import PackedTrace
 
-        packed = PackedTrace.from_tokens(toks)
-        self._packed = packed
+            packed = self._packed = PackedTrace.from_records((), (), (), ())
         return packed
 
     def attach_packed(self, packed) -> None:
-        """Adopt ``packed`` as the trace content (tuples become lazy)."""
+        """Adopt ``packed`` as the trace content."""
         self._packed = packed
         self._tokens = None
-        self._ncache = None
 
     @property
     def signature(self) -> str:
@@ -113,21 +99,8 @@ class ThreadTrace:
 
     @property
     def n_instructions(self) -> int:
-        """Traced dynamic instruction count (cached; O(1) when packed)."""
-        toks = self._tokens
-        if toks is None:
-            return self._packed.total_instructions
-        cache = self._ncache
-        n = len(toks)
-        if cache is not None and cache[0] == n:
-            return cache[1]
-        packed = self._packed
-        if packed is not None and packed.n_tokens == n:
-            total = packed.total_instructions
-        else:
-            total = sum(t[2] for t in toks if t[0] == TOK_BLOCK)
-        self._ncache = (n, total)
-        return total
+        """Traced dynamic instruction count, O(1)."""
+        return self.packed().total_instructions
 
     @property
     def n_skipped(self) -> int:

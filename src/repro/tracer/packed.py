@@ -1,7 +1,10 @@
 """Columnar packed trace representation.
 
-A :class:`PackedTrace` lowers one :class:`~repro.tracer.events.ThreadTrace`
-token stream into flat ``array`` columns, one entry per token:
+A :class:`PackedTrace` holds one :class:`~repro.tracer.events.ThreadTrace`
+token stream as flat ``array`` columns, one entry per token.  The
+recorder builds it straight from what it recorded
+(:meth:`PackedTrace.from_records`); :meth:`PackedTrace.from_tokens`
+packs a token tuple list:
 
 ====================  =======================================================
 column                contents
@@ -46,7 +49,9 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Iterable, List, Tuple
+from itertools import accumulate, repeat
+from operator import add, rshift, sub
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import TraceCorruptError
 from .events import TOK_BLOCK, TOK_CALL, TOK_LOCK, TOK_RET, TOK_UNLOCK
@@ -59,6 +64,12 @@ KIND_RET = 2
 KIND_LOCK = 3
 KIND_UNLOCK = 4
 CODE_KINDS = (TOK_BLOCK, TOK_CALL, TOK_RET, TOK_LOCK, TOK_UNLOCK)
+
+#: The ``kind, arg, nins`` triple every return token shares.
+RET_REC = (KIND_RET, 0, 0)
+
+#: ``bytes.translate`` table mapping every nonzero byte to 1.
+_NONZERO = bytes([0]) + bytes([1]) * 255
 
 #: ``log2`` of the coalescing granularity; must stay in sync with
 #: :data:`repro.core.metrics.TRANSACTION_BYTES` (asserted in
@@ -103,6 +114,23 @@ def _align(offset: int) -> int:
     return (offset + SHM_ALIGN - 1) & ~(SHM_ALIGN - 1)
 
 
+def _run_lengths(mask: bytes, countdown: array) -> array:
+    """Per position of a 0/1 ``mask``: the length of the run of zeros
+    starting there (0 on ones).  ``countdown`` is ``len(mask)..1``, so
+    each run is one copy of its tail."""
+    n = len(mask)
+    out = array("q", bytes(8 * n))
+    find = mask.find
+    start = find(0)
+    while start >= 0:
+        end = find(1, start)
+        if end < 0:
+            end = n
+        out[start:end] = countdown[n - end + start:]
+        start = find(0, end)
+    return out
+
+
 class PackedTrace:
     """One thread's token stream as flat columnar buffers."""
 
@@ -125,15 +153,10 @@ class PackedTrace:
         self.maddr = maddr
         self.msize = msize
         self.names = names
-        cumn = array("q", (0,))
-        total = 0
-        append = cumn.append
-        for n in nins:
-            total += n
-            append(total)
-        self.cumn = cumn
-        self.runs = self._block_runs()
-        self.mcnt, self.bext = self._block_extents()
+        # ``array`` fills from a list faster than from an iterator.
+        self.cumn = array("q", list(accumulate(nins, initial=0)))
+        self.mcnt = array("q", list(map(sub, moff[1:], moff[:-1])))
+        self.runs, self.bext = self._block_runs()
         self.signature = self._digest()
         # Verified lazily: the first consumer (replay cursor, memo key)
         # re-hashes the buffers against the signature exactly once.
@@ -144,13 +167,11 @@ class PackedTrace:
         # replay hot loop.  Derived data (like ``runs``): recomputed at
         # pack time, not part of the signature.  Computed after fault
         # injection so the bounds always describe the final buffers.
-        shift = TRANSACTION_SHIFT
-        maddr, msize = self.maddr, self.msize
+        shifts = repeat(TRANSACTION_SHIFT)
         try:
-            self.msegf = array("q", [a >> shift for a in maddr])
-            self.msegl = array(
-                "q", [(maddr[j] + msize[j] - 1) >> shift
-                      for j in range(len(maddr))])
+            self.msegf = array("q", list(map(rshift, self.maddr, shifts)))
+            self.msegl = array("q", list(map(rshift, map(
+                sub, map(add, self.maddr, self.msize), repeat(1)), shifts)))
         except OverflowError:
             # Corrupted address/size columns can push the segment bounds
             # past int64; that is buffer corruption, not a packing bug.
@@ -162,54 +183,50 @@ class PackedTrace:
     # construction
 
     @classmethod
+    def from_records(cls, recs: Sequence[int], moff: Sequence[int],
+                     mems: Sequence[tuple],
+                     names: Sequence[str]) -> "PackedTrace":
+        """Build the columns from the recorder's per-thread lists.
+
+        ``recs`` is the flat ``kind code, arg, nins`` triple of every
+        token, ``moff`` each token's first memory record (the record
+        count when the token opened), ``mems`` one ``(slot, is_store,
+        addr, size)`` tuple per record and ``names`` the interned
+        callees.
+        """
+        kinds, arg, nins = recs[0::3], recs[1::3], recs[2::3]
+        mslot, mstore, maddr, msize = zip(*mems) if mems else ((),) * 4
+        offsets = array("q", moff)
+        offsets.append(len(mems))
+        return cls(array("b", bytes(kinds)), array("q", arg),
+                   array("q", nins), offsets, array("q", mslot),
+                   array("b", map(bool, mstore)), array("q", maddr),
+                   array("q", msize), tuple(names))
+
+    @classmethod
     def from_tokens(cls, tokens: Iterable[tuple]) -> "PackedTrace":
-        """Pack a token tuple stream (the in-memory recorder format)."""
-        kinds = array("b")
-        arg = array("q")
-        nins = array("q")
-        moff = array("q", (0,))
-        mslot = array("q")
-        mstore = array("b")
-        maddr = array("q")
-        msize = array("q")
-        names: List[str] = []
-        name_idx = {}
+        """Pack a token tuple stream (hand-built traces, round trips)."""
+        recs: List[int] = []
+        moff: List[int] = []
+        mems: List[tuple] = []
+        names: Dict[str, int] = {}
         for token in tokens:
             kind = token[0]
+            moff.append(len(mems))
             if kind == TOK_BLOCK:
-                kinds.append(KIND_B)
-                arg.append(token[1])
-                nins.append(token[2])
-                for slot, is_store, addr, size in token[3]:
-                    mslot.append(slot)
-                    mstore.append(1 if is_store else 0)
-                    maddr.append(addr)
-                    msize.append(size)
+                recs += (KIND_B, token[1], token[2])
+                mems.extend(token[3])
             elif kind == TOK_CALL:
-                callee = token[1]
-                idx = name_idx.setdefault(callee, len(names))
-                if idx == len(names):
-                    names.append(callee)
-                kinds.append(KIND_CALL)
-                arg.append(idx)
-                nins.append(0)
+                recs += (KIND_CALL, names.setdefault(token[1], len(names)), 0)
             elif kind == TOK_RET:
-                kinds.append(KIND_RET)
-                arg.append(0)
-                nins.append(0)
+                recs += RET_REC
             elif kind == TOK_LOCK:
-                kinds.append(KIND_LOCK)
-                arg.append(token[1])
-                nins.append(0)
+                recs += (KIND_LOCK, token[1], 0)
             elif kind == TOK_UNLOCK:
-                kinds.append(KIND_UNLOCK)
-                arg.append(token[1])
-                nins.append(0)
+                recs += (KIND_UNLOCK, token[1], 0)
             else:
                 raise ValueError(f"unknown trace token kind {kind!r}")
-            moff.append(len(mslot))
-        return cls(kinds, arg, nins, moff, mslot, mstore, maddr, msize,
-                   tuple(names))
+        return cls.from_records(recs, moff, mems, names)
 
     # ------------------------------------------------------------------
     # reconstruction (cold paths: error messages, lazy materialization)
@@ -313,48 +330,23 @@ class PackedTrace:
         """Traced dynamic instruction count, O(1)."""
         return self.cumn[-1] if len(self.cumn) > 1 else 0
 
-    def _block_runs(self) -> array:
-        """``runs[i]``: length of the memory-less ``B`` run starting at i.
+    def _block_runs(self) -> Tuple[array, array]:
+        """``runs[i]``: length of the run of memory-less ``B`` tokens
+        starting at ``i``; ``bext[i]``: the same with memory records
+        allowed.  Both are zero at non-``B`` positions.
 
-        Zero for any position that is not a memory-less block token.  Not
-        part of the signature -- it is derived data, recomputed at pack
-        time.
+        Derived data, recomputed at pack time and outside the
+        signature: the replayer consumes whole ``runs`` in one batched
+        accounting call, compares ``mcnt`` slices across lanes at C
+        speed and consumes whole ``bext`` spans per call.
         """
         n = self.n_tokens
-        runs = array("q", bytes(8 * n))
-        kinds, moff = self.kinds, self.moff
-        run = 0
-        for i in range(n - 1, -1, -1):
-            if kinds[i] == KIND_B and moff[i] == moff[i + 1]:
-                run += 1
-            else:
-                run = 0
-            runs[i] = run
-        return runs
-
-    def _block_extents(self) -> Tuple[array, array]:
-        """``mcnt[i]``: memory records of token ``i``; ``bext[i]``:
-        length of the maximal run of ``B`` tokens (memory records
-        allowed) starting at ``i``, zero for non-``B`` positions.
-
-        Derived data like ``runs``: recomputed at pack time, outside
-        the signature.  The vectorized replayer compares ``mcnt``
-        slices across lanes at C speed to prove record alignment and
-        consumes whole ``bext`` spans with one accounting call.
-        """
-        n = self.n_tokens
-        mcnt = array("q", bytes(8 * n))
-        bext = array("q", bytes(8 * n))
-        kinds, moff = self.kinds, self.moff
-        run = 0
-        for i in range(n - 1, -1, -1):
-            mcnt[i] = moff[i + 1] - moff[i]
-            if kinds[i] == KIND_B:
-                run += 1
-            else:
-                run = 0
-            bext[i] = run
-        return mcnt, bext
+        blocks = self.kinds.tobytes().translate(_NONZERO)
+        plain = (int.from_bytes(blocks, "little")
+                 | int.from_bytes(bytes(map(bool, self.mcnt)), "little"))
+        countdown = array("q", list(range(n, 0, -1)))
+        return (_run_lengths(plain.to_bytes(n, "little"), countdown),
+                _run_lengths(blocks, countdown))
 
     # ------------------------------------------------------------------
     # integrity

@@ -14,7 +14,6 @@ never acceptable, and the fuzz tests below hammer on that boundary.
 import io
 import os
 import tempfile
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -118,7 +117,7 @@ class TestPlanMechanics:
 
 class TestClassificationAndRetry:
     def test_transient_types_are_retryable(self):
-        for exc in (OSError("io"), BrokenExecutor(), TimeoutError(),
+        for exc in (OSError("io"), TimeoutError(),
                     StageTimeoutError("t"), TraceCorruptError("c"),
                     EOFError(), ConnectionResetError()):
             assert faults.is_retryable(exc), exc
@@ -381,15 +380,17 @@ class TestPackedTraceFaults:
         assert excinfo.value.site == "trace.pack"
 
     def test_corrupt_pack_never_reaches_replay_metrics(self):
-        # End to end: a fault armed while the analyzer packs the traces
-        # must abort the analysis as a typed error, not skew counters.
+        # End to end: a fault armed while the recorder packs the traces
+        # must abort the later analysis as a typed error, not skew
+        # counters.
         from repro.core import analyze_traces
 
-        with faults.injected(None):
-            session = AnalysisSession()
-            traces = session.trace("vectoradd", n_threads=N_THREADS)
         plan = FaultPlan([FaultSpec(site="trace.pack", kind="bitflip")])
         with faults.injected(plan):
+            session = AnalysisSession()
+            traces = session.trace("vectoradd", n_threads=N_THREADS)
+        assert plan.injected["trace.pack"] >= 1
+        with faults.injected(None):
             with pytest.raises(TraceCorruptError) as excinfo:
                 analyze_traces(traces, warp_size=8)
         assert excinfo.value.site == "trace.pack"

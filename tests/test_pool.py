@@ -100,7 +100,7 @@ class TestColumnArena:
                 # Zero-copy: the columns are memoryviews over the
                 # segment, not freshly allocated arrays.
                 assert isinstance(rebuilt.kinds, memoryview)
-                assert rebuilt.to_tokens() == trace.tokens
+                assert tuple(rebuilt.to_tokens()) == trace.tokens
                 # Signature verification still works over shared bytes.
                 assert not rebuilt._verified
                 rebuilt.ensure_verified()

@@ -131,9 +131,10 @@ class TestTraceCorruption:
             [("worker", [t], None) for t in range(2)],
             ["worker"],
         )
-        tokens = traces.threads[0].tokens
+        tokens = list(traces.threads[0].tokens)
         kind, _addr, nins, mems = tokens[0]
         tokens[0] = (kind, 0xDEAD000, nins, mems)
+        traces.threads[0].tokens = tokens
         dcfgs = build_dcfgs(traces)
         compute_all_ipdoms(dcfgs)
         with pytest.raises(ReplayError):

@@ -80,23 +80,52 @@ class TestWarmStoreParity:
             assert session.executions == 0
 
 
+@pytest.fixture
+def pack_calls(monkeypatch):
+    """Per constructor name, the calls made: ``from_tokens`` lowers token
+    tuples, ``from_records`` packs what the recorder wrote."""
+    calls = {"from_tokens": 0, "from_records": 0}
+    for name in calls:
+        method = getattr(PackedTrace, name).__func__
+
+        def counting(cls, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(cls, *args)
+
+        monkeypatch.setattr(PackedTrace, name, classmethod(counting))
+    return calls
+
+
 class TestPackCount:
+    """The recorder packs each logical thread once, straight from its
+    columns; no analysis path lowers token tuples."""
+
     def test_cold_stored_analyze_packs_each_thread_once(self, tmp_path,
-                                                        monkeypatch):
-        calls = []
-        pack = PackedTrace.from_tokens.__func__
-
-        def counting(cls, tokens):
-            calls.append(1)
-            return pack(cls, tokens)
-
-        monkeypatch.setattr(PackedTrace, "from_tokens",
-                            classmethod(counting))
+                                                        pack_calls):
         session = AnalysisSession(cache_dir=str(tmp_path), jobs=1)
         session.analyze("pigz", n_threads=16)
         traces = session.trace("pigz", n_threads=16)
         assert session.executions == 1
-        assert len(calls) == len(traces.threads)
+        assert pack_calls == {"from_tokens": 0,
+                              "from_records": len(traces.threads)}
+
+    def test_storeless_analyze_never_lowers_tuples(self, pack_calls):
+        session = AnalysisSession(jobs=1)
+        session.analyze("pigz", n_threads=16)
+        traces = session.trace("pigz", n_threads=16)
+        assert session.executions == 1
+        assert pack_calls == {"from_tokens": 0,
+                              "from_records": len(traces.threads)}
+
+    def test_parallel_trace_many_never_lowers_tuples(self, tmp_path,
+                                                     pack_calls):
+        with AnalysisSession(cache_dir=str(tmp_path), jobs=2) as session:
+            traced = session.trace_many(["vectoradd", "nbody"],
+                                        n_threads=16)
+            for name, traces in traced.items():
+                session.analyze(name, n_threads=16)
+                assert traces.threads, name
+        assert pack_calls["from_tokens"] == 0
 
 
 def _write_legacy_entry(root, fields, payload, ext="jsonl"):

@@ -88,7 +88,7 @@ class TestRoundTrip:
         traces, _ = trace_instance(get_workload(name).instantiate(8))
         for trace in traces:
             packed = PackedTrace.from_tokens(trace.tokens)
-            assert packed.to_tokens() == trace.tokens
+            assert tuple(packed.to_tokens()) == trace.tokens
 
 
 class TestDerivedColumns:
@@ -200,34 +200,31 @@ class TestThreadTraceCaching:
         assert trace.n_instructions == expected
 
     def test_n_instructions_is_cached(self):
+        # The total is the packed prefix sum: no tuples are built for it.
         trace = self._trace()
-        first = trace.n_instructions
-        assert trace._ncache == (len(SAMPLE_TOKENS), first)
-        assert trace.n_instructions == first
+        assert trace.n_instructions == trace.packed().total_instructions
+        assert trace._tokens is None
 
-    def test_append_invalidates_the_cache(self):
+    def test_in_place_append_is_rejected(self):
+        # The token view is a tuple: an in-place edit cannot silently
+        # diverge from the stored columns.
         trace = self._trace()
         before = trace.n_instructions
-        trace.tokens.append((TOK_BLOCK, 0x900, 7, ()))
-        assert trace.n_instructions == before + 7
+        with pytest.raises(AttributeError):
+            trace.tokens.append((TOK_BLOCK, 0x900, 7, ()))
+        assert trace.tokens == tuple(SAMPLE_TOKENS)
+        assert trace.n_instructions == before
 
     def test_assignment_resets_every_cache(self):
         trace = self._trace()
-        trace.packed()
-        trace.n_instructions
-        trace.tokens = [(TOK_BLOCK, 0x10, 2, ())]
-        assert trace._packed is None
-        assert trace._ncache is None
-        assert trace.n_instructions == 2
-
-    def test_packed_cache_keyed_on_token_count(self):
-        trace = self._trace()
         first = trace.packed()
         assert trace.packed() is first
-        trace.tokens.append((TOK_RET,))
-        second = trace.packed()
-        assert second is not first
-        assert second.n_tokens == first.n_tokens + 1
+        assert trace.tokens == tuple(SAMPLE_TOKENS)
+        trace.tokens = [(TOK_BLOCK, 0x10, 2, ())]
+        assert trace.packed() is not first
+        assert trace.tokens == ((TOK_BLOCK, 0x10, 2, ()),)
+        assert trace.n_tokens == 1
+        assert trace.n_instructions == 2
 
     def test_packed_native_trace_stays_columnar(self):
         packed = PackedTrace.from_tokens(SAMPLE_TOKENS)
@@ -238,7 +235,7 @@ class TestThreadTraceCaching:
         assert trace.n_instructions == packed.total_instructions
         assert trace._tokens is None
         # Tuples materialize only on demand, and the columns stay.
-        assert trace.tokens == SAMPLE_TOKENS
+        assert trace.tokens == tuple(SAMPLE_TOKENS)
         assert trace.packed() is packed
 
 

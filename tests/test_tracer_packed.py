@@ -226,6 +226,19 @@ class TestThreadTraceCaching:
         assert trace.n_tokens == 1
         assert trace.n_instructions == 2
 
+    def test_packed_cache_keyed_on_token_count(self):
+        # The pack is built once per token sequence; growing the sequence
+        # (by assignment, since the view is read-only) yields a new pack.
+        trace = self._trace()
+        first = trace.packed()
+        assert trace.packed() is first
+        trace.tokens = trace.tokens + ((TOK_RET,),)
+        second = trace.packed()
+        assert second is not first
+        assert second.n_tokens == first.n_tokens + 1
+        assert trace.packed() is second
+        assert second.to_tokens()[:-1] == first.to_tokens()
+
     def test_packed_native_trace_stays_columnar(self):
         packed = PackedTrace.from_tokens(SAMPLE_TOKENS)
         trace = ThreadTrace(0, 100, "worker")
